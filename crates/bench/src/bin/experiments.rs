@@ -1,4 +1,4 @@
-//! Regenerates every experiment table of EXPERIMENTS.md (E1–E12).
+//! Regenerates every experiment table of EXPERIMENTS.md (E1–E13).
 //!
 //! Usage: `cargo run --release -p lb-bench --bin experiments [e1|e2|…|e13|all|smoke]`
 //!
@@ -15,12 +15,13 @@
 //! wall-clock sweeps, so it is stable on noisy shared runners.
 
 use lb_bench::{adversarial_triangle_db, ktree_csp, partitioned_clique_csp, random_strings};
-use lowerbounds::engine::Budget;
+use lowerbounds::engine::{Budget, RunStats};
 use lowerbounds::experiments::{
     fit_exponent, fmt_duration, print_table, time, time_min, SamplePoint,
 };
 use lowerbounds::graph::generators;
 use lowerbounds::join::{agm, binary, wcoj, JoinQuery};
+use std::time::Duration;
 
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
@@ -154,6 +155,17 @@ fn smoke() {
     println!(
         "smoke: wcoj tuple exponent {:.2} (theory 1.5)",
         fit.exponent
+    );
+
+    // Generic Join's answer does not depend on its variable order.
+    let orders = order_ablation(400, 1);
+    println!(
+        "smoke: generic join orders {} agree on the adversarial triangle count",
+        orders
+            .iter()
+            .map(|(order, ..)| order.as_str())
+            .collect::<Vec<_>>()
+            .join("/")
     );
 
     // SAT: DPLL decides, and a zero-tick budget exhausts instead of lying.
@@ -377,6 +389,50 @@ fn e2_wcoj_vs_binary() {
         fw.exponent, fb.exponent
     );
     println!();
+
+    let n = 6400;
+    let rows: Vec<Vec<String>> = order_ablation(n, 3)
+        .into_iter()
+        .map(|(order, count, t, stats)| {
+            vec![
+                order,
+                count.to_string(),
+                fmt_duration(t),
+                stats.trie_advances.to_string(),
+                stats.tuples.to_string(),
+            ]
+        })
+        .collect();
+    println!(
+        "{}",
+        print_table(
+            &format!("E2a — Generic Join variable-order ablation (adversarial triangle, N = {n})"),
+            &["order", "answer", "time", "trie advances", "tuples"],
+            &rows
+        )
+    );
+}
+
+/// E2a — Generic Join under each variable order on the adversarial
+/// triangle database of size `n`; the "diagonal first" orders bind `b` and
+/// `c` together early. Panics unless every order counts the true answer.
+/// Returns `(order, answer, best-of-reps time, stats)` per order.
+fn order_ablation(n: u64, reps: usize) -> Vec<(String, u64, Duration, RunStats)> {
+    let (q, db, answer) = adversarial_triangle_db(n);
+    let bu = Budget::unlimited();
+    ["abc", "bca", "cab"]
+        .into_iter()
+        .map(|order| {
+            let vars: Vec<String> = order.chars().map(String::from).collect();
+            let ((count, stats), t) = time_min(reps, || {
+                let (out, stats) = wcoj::count(&q, &db, Some(&vars), &bu).unwrap();
+                (out.unwrap_sat(), stats)
+            })
+            .unwrap();
+            assert_eq!(count, answer, "order {order} miscounts the triangles");
+            (order.to_string(), count, t, stats)
+        })
+        .collect()
 }
 
 /// E3 — Theorem 4.2: Freuder's DP scales as |D|^{k+1}; heuristic ablation.
@@ -791,33 +847,55 @@ fn e8_domset() {
 
 /// E9 — SETH fine-grained: edit distance O(n²); OV quadratic scan; SAT→OV.
 fn e9_editdist_ov() {
-    use lowerbounds::graphalg::editdist::edit_distance;
+    use lowerbounds::graphalg::editdist::{edit_distance, edit_distance_banded};
     use lowerbounds::graphalg::ov::find_orthogonal_pair;
+    const BAND: usize = 64;
     let mut rows = Vec::new();
     let mut pts = Vec::new();
+    let mut banded_pts = Vec::new();
     for &n in &[500usize, 1000, 2000, 4000] {
         let (a, b) = random_strings(n, n as u64);
         let (d, t) = time_min(3, || {
             edit_distance(&a, &b, &Budget::unlimited()).0.unwrap_sat()
         })
         .unwrap();
+        let (banded, t_banded) = time_min(3, || {
+            edit_distance_banded(&a, &b, BAND, &Budget::unlimited()).0
+        })
+        .unwrap();
+        // The band either finds the exact distance or proves it exceeds BAND.
+        match banded.unwrap_decided() {
+            Some(bd) => assert_eq!(bd, d),
+            None => assert!(d > BAND),
+        }
         pts.push(SamplePoint {
             size: n as f64,
             value: t.as_secs_f64(),
         });
-        rows.push(vec![n.to_string(), d.to_string(), fmt_duration(t)]);
+        banded_pts.push(SamplePoint {
+            size: n as f64,
+            value: t_banded.as_secs_f64(),
+        });
+        rows.push(vec![
+            n.to_string(),
+            d.to_string(),
+            fmt_duration(t),
+            fmt_duration(t_banded),
+        ]);
     }
     let fit = fit_exponent(&pts).unwrap();
+    let fit_banded = fit_exponent(&banded_pts).unwrap();
     rows.push(vec![
         "fit".into(),
         String::new(),
         format!("n^{:.2} (theory n²)", fit.exponent),
+        format!("n^{:.2} (theory n)", fit_banded.exponent),
     ]);
     println!(
         "{}",
         print_table(
             "E9 — edit distance DP: quadratic and (per SETH) optimally so",
-            &["n", "distance", "DP time"],
+            &["n", "distance", "DP time", "banded (64) time"],
             &rows
         )
     );
@@ -871,16 +949,24 @@ fn e9_editdist_ov() {
 
 /// E10 — §8 k-clique conjecture backdrop: matrix multiplication exponents.
 fn e10_matmul_triangle() {
-    use lowerbounds::graphalg::matmul::IntMatrix;
+    use lowerbounds::graphalg::matmul::{BoolMatrix, IntMatrix};
     use lowerbounds::graphalg::triangle::{find_triangle_matmul, find_triangle_naive};
     let mut rows = Vec::new();
     let mut naive_pts = Vec::new();
     let mut strassen_pts = Vec::new();
+    let mut bitset_pts = Vec::new();
     for &n in &[128usize, 256, 512] {
         let g = generators::gnp(n, 0.5, n as u64);
         let a = IntMatrix::adjacency(&g);
         let (_, t_naive) = time(|| a.multiply_naive(&a));
         let (_, t_strassen) = time(|| a.multiply_strassen(&a));
+        // Boolean product on 64-bit words, then the A² ∧ A ≠ 0 triangle test.
+        let bm = BoolMatrix::adjacency(&g);
+        let (tri_bits, t_bitset) = time_min(3, || bm.multiply(&bm).intersects(&bm)).unwrap();
+        bitset_pts.push(SamplePoint {
+            size: n as f64,
+            value: t_bitset.as_secs_f64(),
+        });
         naive_pts.push(SamplePoint {
             size: n as f64,
             value: t_naive.as_secs_f64(),
@@ -893,20 +979,24 @@ fn e10_matmul_triangle() {
         let (tri_mm, t_mm) = time(|| find_triangle_matmul(&g, &bu).0.is_sat());
         let (tri_nv, t_nv) = time(|| find_triangle_naive(&g, &bu).0.is_sat());
         assert_eq!(tri_mm, tri_nv);
+        assert_eq!(tri_bits, tri_nv);
         rows.push(vec![
             n.to_string(),
             fmt_duration(t_naive),
             fmt_duration(t_strassen),
+            fmt_duration(t_bitset),
             fmt_duration(t_nv),
             fmt_duration(t_mm),
         ]);
     }
     let fn_ = fit_exponent(&naive_pts).unwrap();
     let fs = fit_exponent(&strassen_pts).unwrap();
+    let fb = fit_exponent(&bitset_pts).unwrap();
     rows.push(vec![
         "fit".into(),
         format!("n^{:.2} (≈3)", fn_.exponent),
         format!("n^{:.2} (≈2.81)", fs.exponent),
+        format!("n^{:.2} (theory n³/64)", fb.exponent),
         String::new(),
         String::new(),
     ]);
@@ -918,6 +1008,7 @@ fn e10_matmul_triangle() {
                 "n",
                 "naive MM",
                 "Strassen MM",
+                "bitset boolean MM + test",
                 "naive triangle",
                 "boolean-MM triangle"
             ],

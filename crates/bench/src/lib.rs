@@ -1,10 +1,9 @@
-//! Experiment workloads shared by the `experiments` binary (which prints
-//! the EXPERIMENTS.md tables) and the Criterion benches (one per
-//! experiment, `benches/e*.rs`).
+//! Experiment support for the `experiments` binary, the repo's one
+//! experiment harness (it prints every EXPERIMENTS.md table, E1–E13).
 //!
-//! Each `eN` module owns the workload generators and sweep logic for one
-//! experiment of DESIGN.md's index; the binary formats the results, the
-//! benches time the same closures under Criterion.
+//! * [`workloads`] — the seeded instance builders the experiments sweep.
+//! * [`bench_wcoj`] — the committed WCOJ op-count baseline
+//!   (`BENCH_wcoj.json`) behind `experiments bench-wcoj --check|--write`.
 
 #![forbid(unsafe_code)]
 

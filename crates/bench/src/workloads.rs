@@ -1,5 +1,5 @@
-//! Workload builders shared between the experiment binary and the
-//! Criterion benches.
+//! Seeded workload builders for the experiment binary's E1–E13 sweeps
+//! and the WCOJ baseline.
 
 use lowerbounds::csp::CspInstance;
 use lowerbounds::join::{Database, JoinQuery, Table};

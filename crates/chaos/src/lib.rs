@@ -19,7 +19,8 @@
 //!
 //! The pieces:
 //!
-//! * [`rng`] — SplitMix64; everything is a pure function of a seed;
+//! * [`rng`] — the workspace's SplitMix64 (`lb_engine::rng`); everything is
+//!   a pure function of a seed;
 //! * [`hostile`] — hostile-instance generators per input family (CNF,
 //!   CSP, joins, graphs) plus malformed-text generators for the parsers;
 //! * [`differential`] — the per-family checks against brute-force oracles

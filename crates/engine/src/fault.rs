@@ -46,6 +46,7 @@
 //! ```
 
 use crate::parse::{ParseError, ParseErrorKind};
+use crate::rng::Rng;
 use std::cell::RefCell;
 use std::fmt;
 
@@ -131,19 +132,19 @@ impl FaultPlan {
     /// likelier, so short solver runs still observe faults). The same seed
     /// always yields the same plan.
     pub fn from_seed(seed: u64) -> FaultPlan {
-        let mut state = seed;
+        let mut rng = Rng::new(seed);
         let mut plan = FaultPlan::new();
-        let count = 1 + splitmix(&mut state) % 3;
+        let count = 1 + rng.below(3);
         for _ in 0..count {
-            let kind = match splitmix(&mut state) % 4 {
+            let kind = match rng.below(4) {
                 0 => FaultKind::Exhaust,
                 1 => FaultKind::Deadline,
                 2 => FaultKind::TrieAdvance,
                 _ => FaultKind::PoisonIntermediate,
             };
             // Log-distributed in [1, 2^16]: pick a magnitude, then a value.
-            let magnitude = splitmix(&mut state) % 16;
-            let at = 1 + splitmix(&mut state) % (1u64 << magnitude).max(1);
+            let magnitude = rng.below(16);
+            let at = 1 + rng.below((1u64 << magnitude).max(1));
             plan.points.push(FaultPoint { at, kind });
         }
         plan
@@ -224,16 +225,6 @@ impl std::str::FromStr for FaultPlan {
     fn from_str(s: &str) -> Result<FaultPlan, ParseError> {
         FaultPlan::parse(s)
     }
-}
-
-/// SplitMix64: the tiny deterministic generator behind
-/// [`FaultPlan::from_seed`].
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 // lb-lint: allow(send-hostile-state) -- the ambient-plan API is deliberately thread-scoped: a plan installed by `with_plan` must never leak to sibling test threads, and `Ticker::new` snapshots it into the (Send-clean) ticker before any checkpoint can observe it; plan-passing callers use `Ticker::with_fault_plan` instead
@@ -319,16 +310,16 @@ impl IoFaultPlan {
     /// the first few save attempts (saves are far rarer than solver ticks,
     /// so small attempt counts are the interesting ones).
     pub fn from_seed(seed: u64) -> IoFaultPlan {
-        let mut state = seed ^ 0x10_fa17;
+        let mut rng = Rng::new(seed ^ 0x10_fa17);
         let mut plan = IoFaultPlan::new();
-        let count = 1 + splitmix(&mut state) % 3;
+        let count = 1 + rng.below(3);
         for _ in 0..count {
-            let kind = match splitmix(&mut state) % 3 {
+            let kind = match rng.below(3) {
                 0 => IoFaultKind::TmpWrite,
                 1 => IoFaultKind::Sync,
                 _ => IoFaultKind::Rename,
             };
-            let at = 1 + splitmix(&mut state) % 6;
+            let at = 1 + rng.below(6);
             plan.points.push(IoFaultPoint { at, kind });
         }
         plan

@@ -57,7 +57,7 @@
 //! `?` as a `Result<_, ExhaustReason>` and convert at the entry point via
 //! [`Ticker::finish`].
 //!
-//! Three satellite modules extend the execution discipline to hostile
+//! Four satellite modules extend the execution discipline to hostile
 //! conditions:
 //!
 //! * [`fault`] — deterministic fault injection: a seeded, serializable
@@ -70,12 +70,15 @@
 //!   becomes a pause, not a failure. A suspended run serializes to a
 //!   versioned, checksummed [`Checkpoint`] and resumes exactly where it
 //!   stopped, with summed [`RunStats`] equal to an uninterrupted run.
+//! * [`rng`] — the workspace's one seeded SplitMix64 stream, behind every
+//!   seed-derived fault plan, so a seed is a complete reproducer.
 
 #![forbid(unsafe_code)]
 
 pub mod checkpoint;
 pub mod fault;
 pub mod parse;
+pub mod rng;
 
 pub use checkpoint::{
     atomic_write, cleanup_artifacts, exhaustion_diagnostic, tmp_sibling, Checkpoint,

@@ -111,7 +111,7 @@ pub mod semantic;
 pub mod walk;
 
 pub use effects::CrateEffects;
-pub use report::{clean_summary, exit_code, exit_code_legacy, render_json, render_text};
+pub use report::{clean_summary, exit_code, render_json, render_text};
 pub use rules::{lint_source, CheckpointSpec, Config, FileKind, Rule, Violation};
 pub use semantic::{CrateDataflow, SemanticStats};
 

@@ -4,20 +4,9 @@ use crate::rules::{Rule, Violation};
 
 /// The process exit code for a set of violations: 1 when any rule fired
 /// (details are in the rendered output), 0 when clean. Usage/IO errors exit
-/// 2 (see the CLI). The historical per-rule bitmask lives on behind
-/// `--legacy-exit-bits` as [`exit_code_legacy`].
+/// 2 (see the CLI).
 pub fn exit_code(violations: &[Violation]) -> i32 {
     i32::from(!violations.is_empty())
-}
-
-/// The legacy bitmask exit code (`--legacy-exit-bits`): one bit per rule
-/// (R1 = 1, R2 = 2, R3 = 4, R4 = 8, R5 = 16, malformed directives = 32,
-/// R6 = 64, R7 = 128). The bitmask was exhausted before R8–R10 existed, so
-/// violations of those rules surface as the generic bit 1.
-pub fn exit_code_legacy(violations: &[Violation]) -> i32 {
-    violations
-        .iter()
-        .fold(0, |acc, v| acc | v.rule.legacy_exit_bit().unwrap_or(1))
 }
 
 /// Renders violations as human-readable text, one block per violation.
@@ -123,35 +112,11 @@ mod tests {
         )
     }
 
-    fn with_rule(rule: Rule) -> Violation {
-        Violation {
-            rule,
-            path: "crates/x/src/foo.rs".into(),
-            line: 1,
-            message: "m".into(),
-            snippet: "s".into(),
-        }
-    }
-
     #[test]
     fn exit_codes() {
         let v = sample();
         assert_eq!(exit_code(&v), 1);
         assert_eq!(exit_code(&[]), 0);
-    }
-
-    #[test]
-    fn legacy_exit_code_bits() {
-        let v = sample();
-        assert_eq!(exit_code_legacy(&v), 1);
-        assert_eq!(exit_code_legacy(&[]), 0);
-        assert_eq!(exit_code_legacy(&[with_rule(Rule::NoUncheckedIndex)]), 128);
-        // R8–R10 have no bit of their own: generic bit 1.
-        assert_eq!(exit_code_legacy(&[with_rule(Rule::UnbudgetedLoop)]), 1);
-        assert_eq!(
-            exit_code_legacy(&[with_rule(Rule::CheckpointSchemaDrift)]),
-            1
-        );
     }
 
     #[test]

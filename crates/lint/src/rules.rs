@@ -147,31 +147,6 @@ impl Rule {
         }
     }
 
-    /// The legacy (`--legacy-exit-bits`) exit-code bit for this rule. Rules
-    /// added after the bitmask was exhausted (R8–R16) have no bit of their
-    /// own; under the legacy scheme they surface as the generic bit 1.
-    pub fn legacy_exit_bit(self) -> Option<i32> {
-        match self {
-            Rule::NoPanic => Some(1),
-            Rule::NoLossyCast => Some(2),
-            Rule::ForbidUnsafe => Some(4),
-            Rule::MustUseResult => Some(8),
-            Rule::NoProcessExit => Some(16),
-            Rule::NoAdhocTiming => Some(64),
-            Rule::NoUncheckedIndex => Some(128),
-            Rule::BadDirective => Some(32),
-            Rule::UnbudgetedLoop
-            | Rule::PanicReachability
-            | Rule::CheckpointSchemaDrift
-            | Rule::UnboundedGrowth
-            | Rule::SwallowedResult
-            | Rule::SendHostileState
-            | Rule::LockDiscipline
-            | Rule::DurabilityOrdering
-            | Rule::UnboundedBlocking => None,
-        }
-    }
-
     /// Parses a directive rule name.
     pub fn from_name(name: &str) -> Option<Rule> {
         Rule::ALL.iter().copied().find(|r| r.name() == name)

@@ -11,36 +11,25 @@
 use crate::client::{Backoff, Client, ClientError};
 use crate::job::{JobFamily, JobSpec, Verdict};
 use crate::runner;
+use lb_engine::rng::Rng;
 use std::time::{Duration, Instant};
-
-/// SplitMix64 behind the instance generators. Self-contained on purpose:
-/// the load generator lives in the product crate, and the chaos harness
-/// depends on *us* — reaching back into `lb-chaos` here would make the
-/// dependency arrow point both ways.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// Random 3-CNF in DIMACS text: `vars` variables, `3 * vars` clauses of
 /// three distinct variables with random polarities.
-fn gen_cnf(rng: &mut u64, vars: u64) -> String {
+fn gen_cnf(rng: &mut Rng, vars: u64) -> String {
     let n = vars.max(3);
     let m = n * 3;
     let mut out = format!("p cnf {n} {m}\n");
     for _ in 0..m {
         let mut seen: Vec<u64> = Vec::new();
         while seen.len() < 3 {
-            let v = 1 + splitmix(rng) % n;
+            let v = 1 + rng.below(n);
             if !seen.contains(&v) {
                 seen.push(v);
             }
         }
         for v in seen {
-            let sign = if splitmix(rng).is_multiple_of(2) {
+            let sign = if rng.next_u64().is_multiple_of(2) {
                 ""
             } else {
                 "-"
@@ -54,14 +43,14 @@ fn gen_cnf(rng: &mut u64, vars: u64) -> String {
 
 /// Random binary CSP text: `vars` variables over a 3-value domain, one
 /// constraint per adjacent pair, each allowing 3–6 random tuples.
-fn gen_csp(rng: &mut u64, vars: u64) -> String {
+fn gen_csp(rng: &mut Rng, vars: u64) -> String {
     let n = vars.max(2);
     let domain = 3u64;
     let mut out = format!("csp {n} {domain}\n");
     for v in 0..n - 1 {
-        let tuples = 3 + splitmix(rng) % 4;
+        let tuples = 3 + rng.below(4);
         let list: Vec<String> = (0..tuples)
-            .map(|_| format!("{},{}", splitmix(rng) % domain, splitmix(rng) % domain))
+            .map(|_| format!("{},{}", rng.below(domain), rng.below(domain)))
             .collect();
         out.push_str(&format!("con {} {} : {}\n", v, v + 1, list.join(" ")));
     }
@@ -70,12 +59,12 @@ fn gen_csp(rng: &mut u64, vars: u64) -> String {
 
 /// Random graph text: `n` vertices, each pair an edge with probability
 /// one half.
-fn gen_graph(rng: &mut u64, n: u64) -> String {
+fn gen_graph(rng: &mut Rng, n: u64) -> String {
     let n = n.max(3);
     let mut out = format!("{n}\n");
     for u in 0..n {
         for v in (u + 1)..n {
-            if splitmix(rng).is_multiple_of(2) {
+            if rng.next_u64().is_multiple_of(2) {
                 out.push_str(&format!("{u} {v}\n"));
             }
         }
@@ -85,17 +74,13 @@ fn gen_graph(rng: &mut u64, n: u64) -> String {
 
 /// Random triangle-join payload: the query line `R(a,b) S(b,c) T(c,a)`
 /// followed by three relations of random pairs over `0..size`.
-fn gen_join(rng: &mut u64, size: u64) -> String {
+fn gen_join(rng: &mut Rng, size: u64) -> String {
     let size = size.max(3);
     let mut out = "R(a,b) S(b,c) T(c,a)\n".to_string();
     for name in ["R", "S", "T"] {
         out.push_str(&format!("rel {name} 2\n"));
         for _ in 0..size * 2 {
-            out.push_str(&format!(
-                "{} {}\n",
-                splitmix(rng) % size,
-                splitmix(rng) % size
-            ));
+            out.push_str(&format!("{} {}\n", rng.below(size), rng.below(size)));
         }
     }
     out
@@ -153,10 +138,11 @@ pub fn generate_specs(tenants: usize, jobs_per_tenant: usize, seed: u64) -> Vec<
     for t in 0..tenants {
         for j in 0..jobs_per_tenant {
             let index = t * jobs_per_tenant + j;
-            let mut rng = seed
-                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                .wrapping_add(index as u64 + 1);
-            let wobble = splitmix(&mut rng) % 3;
+            let mut rng = Rng::new(
+                seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                    .wrapping_add(index as u64 + 1),
+            );
+            let wobble = rng.below(3);
             let (family, k, payload) = match index % 5 {
                 0 => (JobFamily::Sat, 0, gen_cnf(&mut rng, 5 + wobble)),
                 1 => (JobFamily::Csp, 0, gen_csp(&mut rng, 4 + wobble)),
@@ -338,5 +324,28 @@ mod tests {
             spec.instance().expect("generated spec must parse");
             reference_verdict(spec).expect("reference run must settle");
         }
+    }
+
+    /// Pins the soak mix's bytes, not just its self-consistency: a served
+    /// verdict is compared against this exact job set across a SIGKILL and
+    /// restart, so the generator's stream must never drift.
+    #[test]
+    fn generated_specs_golden_digest() {
+        let mut text = String::new();
+        for s in generate_specs(3, 5, 7) {
+            text.push_str(&format!(
+                "{}|{}|{}|{:?}\n{}",
+                s.tenant,
+                s.family.name(),
+                s.k,
+                s.budget,
+                s.payload
+            ));
+        }
+        assert_eq!(text.len(), 1931);
+        assert_eq!(
+            lb_engine::checkpoint::fnv1a(text.as_bytes()),
+            0x114b_39e8_7414_efcf
+        );
     }
 }

@@ -3,6 +3,7 @@
 
 use crate::job::JobSpec;
 use crate::protocol::StatusReport;
+use lb_engine::rng::Rng;
 use std::fmt;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -86,8 +87,8 @@ impl Backoff {
             .saturating_mul(1u64 << attempt.min(16))
             .min(self.cap_ms);
         // Deterministic jitter in [3/4, 5/4] of the exponential step.
-        let mut state = self.seed ^ (u64::from(attempt) << 32) ^ 0x00ba_c0ff;
-        let jittered = exp.saturating_sub(exp / 4) + splitmix(&mut state) % (exp / 2).max(1);
+        let mut rng = Rng::new(self.seed ^ (u64::from(attempt) << 32) ^ 0x00ba_c0ff);
+        let jittered = exp.saturating_sub(exp / 4) + rng.below((exp / 2).max(1));
         Duration::from_millis(jittered.max(hint_ms.unwrap_or(0)).min(self.cap_ms))
     }
 }
@@ -134,16 +135,6 @@ pub fn retry_with_backoff<T>(
             }
         }
     }
-}
-
-/// SplitMix64, same generator as `lb_engine::fault` (kept private — the
-/// client must not grow a public RNG surface).
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// One protocol connection. Requests are strictly sequential: send, then

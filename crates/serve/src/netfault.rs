@@ -34,6 +34,7 @@
 
 use crate::sync::lock_recover;
 use lb_engine::parse::{ParseError, ParseErrorKind};
+use lb_engine::rng::Rng;
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -117,17 +118,17 @@ impl NetFaultPlan {
     /// is only a handful of reads and writes, so small counts are the
     /// interesting ones). The same seed always yields the same plan.
     pub fn from_seed(seed: u64) -> NetFaultPlan {
-        let mut state = seed ^ 0x7e1e_fa17;
+        let mut rng = Rng::new(seed ^ 0x7e1e_fa17);
         let mut plan = NetFaultPlan::new();
-        let count = 1 + splitmix(&mut state) % 3;
+        let count = 1 + rng.below(3);
         for _ in 0..count {
-            let kind = match splitmix(&mut state) % 4 {
+            let kind = match rng.below(4) {
                 0 => NetFaultKind::TornWrite,
                 1 => NetFaultKind::Disconnect,
                 2 => NetFaultKind::Trickle,
                 _ => NetFaultKind::ReadTimeout,
             };
-            let at = 1 + splitmix(&mut state) % 12;
+            let at = 1 + rng.below(12);
             plan.points.push(NetFaultPoint { at, kind });
         }
         plan
@@ -208,15 +209,6 @@ impl std::str::FromStr for NetFaultPlan {
     fn from_str(s: &str) -> Result<NetFaultPlan, ParseError> {
         NetFaultPlan::parse(s)
     }
-}
-
-/// SplitMix64, same generator as `lb_engine::fault`.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// A one-shot firing schedule: fires when the op count reaches or passes
