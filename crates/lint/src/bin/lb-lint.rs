@@ -84,23 +84,14 @@ fn main() {
             Err(e) => io_error(&e),
         },
         Cmd::Dataflow => match lb_lint::dataflow_dump_workspace(&root, &config) {
-            Ok(dump) => {
+            Ok((dump, coverage)) => {
                 print!("{dump}");
                 // The same coverage floors tests/lint_gate.rs asserts: an
                 // empty dataflow pass over a solver crate means the rule
                 // scope is misconfigured, not that the crate is clean.
-                let analysis = match analyze_workspace(&root, &config) {
-                    Ok(a) => a,
-                    Err(e) => io_error(&e),
-                };
                 let mut floor_failed = false;
                 for name in ["sat", "csp", "join", "graphalg"] {
-                    let df = analysis
-                        .stats
-                        .dataflow
-                        .get(name)
-                        .copied()
-                        .unwrap_or_default();
+                    let df = coverage.get(name).copied().unwrap_or_default();
                     if df.collection_bindings == 0 || df.result_sites == 0 || df.state_structs == 0
                     {
                         eprintln!(
@@ -118,16 +109,12 @@ fn main() {
             Err(e) => io_error(&e),
         },
         Cmd::Effects => match lb_lint::effects_dump_workspace(&root, &config) {
-            Ok(dump) => {
+            Ok((dump, coverage)) => {
                 print!("{dump}");
                 // Coverage floors, mirroring tests/lint_gate.rs: an empty
                 // effect pass over the serve crate means the effect scope is
                 // misconfigured, not that the crate is disciplined.
-                let analysis = match analyze_workspace(&root, &config) {
-                    Ok(a) => a,
-                    Err(e) => io_error(&e),
-                };
-                let fx = analysis.stats.effects.get("serve").copied().unwrap_or_default();
+                let fx = coverage.get("serve").copied().unwrap_or_default();
                 if fx.lock_sites < 10 || fx.durability_sites < 5 || fx.blocking_sites < 8 {
                     eprintln!(
                         "lb-lint: effect coverage floor failed for crate `serve`: \

@@ -1,10 +1,10 @@
-//! Intraprocedural dataflow over the masked token stream, feeding the
-//! summary rules R11–R13.
+//! The dataflow facts behind the summary rules R11–R13.
 //!
-//! Like the rest of the linter, this is **not** a type checker. It walks
-//! each function's token range (nested `fn` items excluded, closures
-//! attributed to the enclosing function) and recovers just enough def-use
-//! structure for three questions:
+//! Like the rest of the linter, this is **not** a type checker. The item
+//! parser hands each `fn`'s own tokens (nested `fn` items excluded,
+//! closures attributed to the enclosing function) to [`scan_token`], which
+//! recovers just enough def-use structure — in the same walk that collects
+//! the effect facts of [`crate::effects`] — for three questions:
 //!
 //! * which local bindings are collections, and where they were declared
 //!   relative to the loops that mutate them (R11 `unbounded-growth`) —
@@ -16,18 +16,17 @@
 //!   call) for R12 `swallowed-result`;
 //! * which struct fields hold `Send`-hostile types (`Rc`, `RefCell`,
 //!   `Cell`, raw pointers) and where `thread_local!` state lives, for
-//!   R13 `send-hostile-state`.
+//!   R13 `send-hostile-state` ([`file_facts`]).
 //!
 //! The approximations all lean conservative for a gate: an unresolvable
 //! receiver (a parameter, a field chain, a method-chain result) is treated
 //! as loop-carried, and only an explicit charge or allow discharges it.
-//! The per-function results become summaries that [`crate::semantic`]
-//! propagates over the call graph: a growth site is "charged" when the
-//! enclosing function charges `max_intermediate` directly or calls a
-//! function in the transitively-charging set.
+//! The facts land on each [`FnSummary`], which [`crate::semantic`] queries
+//! over the call graph: a growth site is "charged" when the enclosing
+//! function charges `max_intermediate` directly or calls a function in the
+//! transitively-charging set.
 
-use crate::items::{self, FnItem, ParsedFile, Span, Tok, TokKind};
-use crate::lexer::ScannedFile;
+use crate::items::{punct_at, word_at, FnBody, FnSummary, ParsedFile, TokKind};
 use crate::rules::Config;
 
 /// Collection type names recognized by the binding classifier.
@@ -96,44 +95,6 @@ pub struct UnusedResultCandidate {
     pub used_later: bool,
 }
 
-/// Per-function dataflow summary.
-#[derive(Debug, Clone)]
-pub struct FnFlow {
-    /// Function name.
-    pub name: String,
-    /// Enclosing `impl`/`trait` type, if any.
-    pub qualifier: Option<String>,
-    /// Line of the `fn` keyword.
-    pub line: usize,
-    /// Body line span.
-    pub body: Span,
-    /// Whether the signature returns a `Result`.
-    pub returns_result: bool,
-    /// Lines with a direct `max_intermediate` charge call.
-    pub charge_lines: Vec<usize>,
-    /// Collection mutation sites.
-    pub grows: Vec<GrowthSite>,
-    /// Lines with a `let _ = ...;` wildcard discard.
-    pub wildcard_lets: Vec<usize>,
-    /// Lines with a statement-final `.ok();` discard.
-    pub ok_discards: Vec<usize>,
-    /// Candidate unused-`Result` bindings (filtered against the workspace
-    /// `returns_result` summaries by the semantic pass).
-    pub unused_candidates: Vec<UnusedResultCandidate>,
-    /// All bindings seen, in order.
-    pub bindings: Vec<Binding>,
-}
-
-impl FnFlow {
-    /// `Qualifier::name` or plain `name` for display.
-    pub fn display_name(&self) -> String {
-        match &self.qualifier {
-            Some(q) => format!("{q}::{}", self.name),
-            None => self.name.clone(),
-        }
-    }
-}
-
 /// One `Send`-hostile struct field.
 #[derive(Debug, Clone)]
 pub struct HostileField {
@@ -147,40 +108,21 @@ pub struct HostileField {
     pub marker: String,
 }
 
-/// Dataflow results for one file.
-#[derive(Debug, Clone, Default)]
-pub struct FileFlow {
-    /// Per-function summaries, in `fn`-keyword order.
-    pub fns: Vec<FnFlow>,
-    /// `Send`-hostile struct fields.
-    pub hostile_fields: Vec<HostileField>,
-    /// Lines with a `thread_local!` declaration.
-    pub thread_local_lines: Vec<usize>,
-    /// Structs parsed in the file (with or without named fields).
-    pub structs: usize,
-}
-
-/// Runs the per-function dataflow pass over one scanned+parsed file.
-pub fn analyze(scanned: &ScannedFile, parsed: &ParsedFile, config: &Config) -> FileFlow {
-    let toks = items::tokenize(scanned);
-    let close = items::match_braces(&toks);
-    let mut flow = FileFlow {
-        structs: parsed.structs.len(),
-        ..FileFlow::default()
-    };
-
+/// Fills the file-level R13 facts: `thread_local!` lines and hostile
+/// struct fields.
+pub(crate) fn file_facts(parsed: &mut ParsedFile) {
+    let toks = &parsed.toks;
     for (i, t) in toks.iter().enumerate() {
         if matches!(&t.kind, TokKind::Word(w) if w == "thread_local")
-            && punct_at(&toks, i + 1) == Some('!')
+            && punct_at(toks, i + 1) == Some('!')
         {
-            flow.thread_local_lines.push(t.line);
+            parsed.thread_local_lines.push(t.line);
         }
     }
-
     for s in &parsed.structs {
         for f in &s.fields {
             if let Some(marker) = hostile_marker(&f.ty) {
-                flow.hostile_fields.push(HostileField {
+                parsed.hostile_fields.push(HostileField {
                     struct_name: s.name.clone(),
                     field: f.name.clone(),
                     line: f.line,
@@ -189,17 +131,6 @@ pub fn analyze(scanned: &ScannedFile, parsed: &ParsedFile, config: &Config) -> F
             }
         }
     }
-
-    for f in &parsed.fns {
-        if f.body.is_none() {
-            continue;
-        }
-        if let Some(fn_flow) = analyze_fn(&toks, &close, f, config) {
-            flow.fns.push(fn_flow);
-        }
-    }
-    flow.fns.sort_by_key(|f| f.line);
-    flow
 }
 
 /// Finds the hostile type word (or raw-pointer sigil) in a space-joined
@@ -214,232 +145,107 @@ fn hostile_marker(ty: &str) -> Option<String> {
     })
 }
 
-pub(crate) fn word_at(toks: &[Tok], i: usize) -> Option<&str> {
-    match toks.get(i).map(|t| &t.kind) {
-        Some(TokKind::Word(w)) => Some(w.as_str()),
-        _ => None,
-    }
-}
-
-pub(crate) fn punct_at(toks: &[Tok], i: usize) -> Option<char> {
-    match toks.get(i).map(|t| &t.kind) {
-        Some(TokKind::Punct(c)) => Some(*c),
-        _ => None,
-    }
-}
-
-/// Locates the token index of `f`'s `fn` keyword and its body `{`.
-#[allow(clippy::needless_range_loop)] // index used across several arrays
-pub(crate) fn locate_fn(toks: &[Tok], close: &[usize], f: &FnItem) -> Option<(usize, usize)> {
-    let kw = (0..toks.len()).find(|&i| {
-        toks[i].line == f.line
-            && word_at(toks, i) == Some("fn")
-            && word_at(toks, i + 1) == Some(f.name.as_str())
-    })?;
-    let mut depth = 0i64;
-    for k in kw + 2..toks.len() {
-        match punct_at(toks, k) {
-            Some('(') | Some('[') => depth += 1,
-            Some(')') | Some(']') => depth -= 1,
-            Some('{') if depth <= 0 => {
-                return (close[k] < toks.len()).then_some((kw, k));
-            }
-            Some(';') if depth <= 0 => return None,
-            _ => {}
-        }
-    }
-    None
-}
-
-/// The token indices belonging to the function itself: its body range with
-/// nested `fn` items carved out (closures stay in).
-pub(crate) fn own_token_indices(toks: &[Tok], close: &[usize], open: usize) -> Vec<usize> {
-    let end = close[open];
-    let mut own = Vec::with_capacity(end.saturating_sub(open));
-    let mut k = open + 1;
-    while k < end {
-        if word_at(toks, k) == Some("fn") && word_at(toks, k + 1).is_some() {
-            // Skip the nested item wholesale (signature + body or `;`).
-            let mut depth = 0i64;
-            let mut j = k + 2;
-            while j < end {
-                match punct_at(toks, j) {
-                    Some('(') | Some('[') => depth += 1,
-                    Some(')') | Some(']') => depth -= 1,
-                    Some('{') if depth <= 0 => {
-                        j = close[j].min(end);
-                        break;
-                    }
-                    Some(';') if depth <= 0 => break,
-                    _ => {}
-                }
-                j += 1;
-            }
-            k = j + 1;
-            continue;
-        }
-        own.push(k);
-        k += 1;
-    }
-    own
-}
-
-/// Whether the signature tokens in `toks[kw..open]` declare a `Result`
-/// return type (a `Result` word after the `->` arrow).
-fn signature_returns_result(toks: &[Tok], kw: usize, open: usize) -> bool {
-    let mut depth = 0i64;
-    let mut arrow = None;
-    for k in kw..open {
-        match punct_at(toks, k) {
-            Some('(') | Some('[') => depth += 1,
-            Some(')') | Some(']') => depth -= 1,
-            Some('-') if depth == 0 && punct_at(toks, k + 1) == Some('>') => {
-                arrow = Some(k + 2);
-                break;
-            }
-            _ => {}
-        }
-    }
-    let Some(from) = arrow else { return false };
-    (from..open).any(|k| word_at(toks, k) == Some("Result"))
-}
-
-/// Analyzes one function's own tokens.
-fn analyze_fn(toks: &[Tok], close: &[usize], f: &FnItem, config: &Config) -> Option<FnFlow> {
-    let (kw, open) = locate_fn(toks, close, f)?;
-    let own = own_token_indices(toks, close, open);
-    let body = f.body?;
-
-    let mut flow = FnFlow {
-        name: f.name.clone(),
-        qualifier: f.qualifier.clone(),
-        line: f.line,
-        body,
-        returns_result: signature_returns_result(toks, kw, open),
-        charge_lines: Vec::new(),
-        grows: Vec::new(),
-        wildcard_lets: Vec::new(),
-        ok_discards: Vec::new(),
-        unused_candidates: Vec::new(),
-        bindings: Vec::new(),
+/// Records the dataflow facts at own-position `pos` of `f`'s body:
+/// bindings and wildcard discards, charge lines, `.ok();` discards, and
+/// growth sites. Candidate unused-`Result` bindings go to `lets` with the
+/// own-position just past their statement, for [`resolve_unused`].
+pub(crate) fn scan_token(
+    f: &mut FnSummary,
+    b: &FnBody,
+    pos: usize,
+    config: &Config,
+    lets: &mut Vec<(UnusedResultCandidate, usize)>,
+) {
+    let (toks, own) = (b.toks, b.own);
+    let i = own[pos];
+    let TokKind::Word(w) = &toks[i].kind else {
+        return;
     };
-
-    // Pass 1: bindings and statement-level discards.
-    let mut raw_candidates: Vec<(UnusedResultCandidate, usize)> = Vec::new(); // (cand, init end pos)
-    let mut pos = 0;
-    while pos < own.len() {
-        let i = own[pos];
-        match &toks[i].kind {
-            TokKind::Word(w) if w == "let" => {
-                let in_cond =
-                    pos > 0 && matches!(word_at(toks, own[pos - 1]), Some("if") | Some("while"));
-                let info = parse_let(toks, &own, pos, in_cond);
-                if info.wildcard {
-                    flow.wildcard_lets.push(toks[i].line);
-                }
-                for name in &info.names {
-                    flow.bindings.push(Binding {
-                        name: name.clone(),
-                        line: toks[i].line,
-                        is_collection: info.is_collection,
-                    });
-                }
-                if let (false, [name], Some(call)) =
-                    (info.has_question, info.names.as_slice(), info.simple_call)
-                {
-                    raw_candidates.push((
-                        UnusedResultCandidate {
-                            name: name.clone(),
-                            line: toks[i].line,
-                            callee_qualifier: call.0,
-                            callee: call.1,
-                            is_method: call.2,
-                            used_later: false,
-                        },
-                        info.end_pos,
-                    ));
-                }
-                pos += 1;
-            }
-            TokKind::Word(w)
-                if config.intermediate_charge_methods.iter().any(|m| m == w)
-                    && punct_at(toks, i + 1) == Some('(') =>
-            {
-                flow.charge_lines.push(toks[i].line);
-                pos += 1;
-            }
-            TokKind::Word(w)
-                if w == "ok"
-                    && pos > 0
-                    && punct_at(toks, own[pos - 1]) == Some('.')
-                    && punct_at(toks, i + 1) == Some('(')
-                    && punct_at(toks, i + 2) == Some(')')
-                    && punct_at(toks, i + 3) == Some(';') =>
-            {
-                flow.ok_discards.push(toks[i].line);
-                pos += 1;
-            }
-            TokKind::Word(w)
-                if config.growth_methods.iter().any(|m| m == w)
-                    && pos > 0
-                    && punct_at(toks, own[pos - 1]) == Some('.')
-                    && punct_at(toks, i + 1) == Some('(') =>
-            {
-                let (chain, has_call) = receiver_chain(toks, &own, pos - 1);
-                let line = toks[i].line;
-                let innermost = f
-                    .loops
-                    .iter()
-                    .filter(|l| l.body.contains(line))
-                    .min_by_key(|l| l.body.len());
-                let carried = match (&chain[..], innermost) {
-                    (_, None) => false,
-                    ([], Some(_)) => true,
-                    ([single], Some(lp)) => {
-                        if has_call || single == "self" {
-                            true
-                        } else {
-                            // Latest binding of this name before the site;
-                            // carried when declared outside the loop body
-                            // (or not a local binding at all — a parameter
-                            // or captured state outlives every iteration).
-                            match flow
-                                .bindings
-                                .iter()
-                                .rev()
-                                .find(|b| b.name == *single && b.line <= line)
-                            {
-                                Some(b) => !lp.body.contains(b.line),
-                                None => true,
-                            }
-                        }
-                    }
-                    // A field access or method-chain receiver aliases state
-                    // that outlives the iteration.
-                    (_, Some(_)) => true,
-                };
-                flow.grows.push(GrowthSite {
-                    line,
-                    method: w.clone(),
-                    receiver: chain.join("."),
-                    carried,
-                    loop_line: innermost.map(|l| l.line),
-                });
-                pos += 1;
-            }
-            _ => pos += 1,
+    let line = toks[i].line;
+    let after_dot = pos > 0 && punct_at(toks, own[pos - 1]) == Some('.');
+    if w == "let" {
+        let in_cond = pos > 0 && matches!(word_at(toks, own[pos - 1]), Some("if" | "while"));
+        let info = parse_let(b, pos, in_cond);
+        if info.wildcard {
+            f.wildcard_lets.push(line);
         }
+        for name in &info.names {
+            f.bindings.push(Binding {
+                name: name.clone(),
+                line,
+                is_collection: info.is_collection,
+            });
+        }
+        if let (false, [name], Some((callee_qualifier, callee, is_method))) =
+            (info.has_question, info.names.as_slice(), info.simple_call)
+        {
+            let cand = UnusedResultCandidate {
+                name: name.clone(),
+                line,
+                callee_qualifier,
+                callee,
+                is_method,
+                used_later: false,
+            };
+            lets.push((cand, info.end_pos));
+        }
+    } else if config.intermediate_charge_methods.contains(w) && punct_at(toks, i + 1) == Some('(') {
+        f.charge_lines.push(line);
+    } else if w == "ok"
+        && after_dot
+        && punct_at(toks, i + 1) == Some('(')
+        && punct_at(toks, i + 2) == Some(')')
+        && punct_at(toks, i + 3) == Some(';')
+    {
+        f.ok_discards.push(line);
+    } else if config.growth_methods.contains(w) && after_dot && punct_at(toks, i + 1) == Some('(') {
+        let (chain, has_call) = receiver_chain(b, pos - 1);
+        let innermost = f
+            .loops
+            .iter()
+            .filter(|l| l.body.contains(line))
+            .min_by_key(|l| l.body.len());
+        let carried = match (&chain[..], innermost) {
+            (_, None) => false,
+            ([], Some(_)) => true,
+            // Latest binding of this name before the site; carried when
+            // declared outside the loop body (or not a local binding at
+            // all — a parameter or captured state outlives every
+            // iteration).
+            ([single], Some(lp)) if !has_call && single != "self" => f
+                .bindings
+                .iter()
+                .rev()
+                .find(|b| b.name == *single && b.line <= line)
+                .is_none_or(|b| !lp.body.contains(b.line)),
+            // `self`, a field access, or a method-chain receiver aliases
+            // state that outlives the iteration.
+            (_, Some(_)) => true,
+        };
+        f.grows.push(GrowthSite {
+            line,
+            method: w.clone(),
+            receiver: chain.join("."),
+            carried,
+            loop_line: innermost.map(|l| l.line),
+        });
     }
+}
 
-    // Pass 2: resolve `used_later` for the unused-`Result` candidates.
-    for (mut cand, end_pos) in raw_candidates {
-        cand.used_later = own[end_pos.min(own.len().saturating_sub(1))..]
+/// Resolves `used_later` for the candidate unused-`Result` bindings: is the
+/// name read anywhere after its statement?
+pub(crate) fn resolve_unused(
+    f: &mut FnSummary,
+    b: &FnBody,
+    lets: Vec<(UnusedResultCandidate, usize)>,
+) {
+    for (mut cand, end_pos) in lets {
+        cand.used_later = b.own[end_pos.min(b.own.len().saturating_sub(1))..]
             .iter()
             .skip(1)
-            .any(|&k| word_at(toks, k) == Some(cand.name.as_str()));
-        flow.unused_candidates.push(cand);
+            .any(|&k| word_at(b.toks, k) == Some(cand.name.as_str()));
+        f.unused_candidates.push(cand);
     }
-    Some(flow)
 }
 
 /// What one `let` statement binds and how it is initialized.
@@ -461,7 +267,8 @@ struct LetInfo {
 
 /// Parses a `let` at `own[pos]` (`in_cond` for `if let`/`while let`, whose
 /// initializer ends at the block `{` rather than `;`).
-fn parse_let(toks: &[Tok], own: &[usize], pos: usize, in_cond: bool) -> LetInfo {
+fn parse_let(b: &FnBody, pos: usize, in_cond: bool) -> LetInfo {
+    let (toks, own) = (b.toks, b.own);
     let mut names = Vec::new();
     let mut wildcard = false;
     let mut p = pos + 1;
@@ -633,10 +440,12 @@ fn parse_let(toks: &[Tok], own: &[usize], pos: usize, in_cond: bool) -> LetInfo 
     }
 }
 
-/// Walks the receiver chain backwards from the `.` at `own[dot_pos]`.
+/// Walks the receiver chain backwards from the `.` at own-position
+/// `dot_pos`.
 /// Returns the chain outer-to-inner (e.g. `["self", "frames"]`) and whether
 /// it crosses a call/index (method-chain receivers alias unknown state).
-pub(crate) fn receiver_chain(toks: &[Tok], own: &[usize], dot_pos: usize) -> (Vec<String>, bool) {
+pub(crate) fn receiver_chain(b: &FnBody, dot_pos: usize) -> (Vec<String>, bool) {
+    let (toks, own) = (b.toks, b.own);
     let mut chain = Vec::new();
     let mut has_call = false;
     let mut p = dot_pos;
@@ -700,10 +509,8 @@ mod tests {
     use super::*;
     use crate::lexer::scan;
 
-    fn flow_of(src: &str) -> FileFlow {
-        let scanned = scan(src);
-        let parsed = items::parse(&scanned);
-        analyze(&scanned, &parsed, &Config::default())
+    fn flow_of(src: &str) -> ParsedFile {
+        crate::items::summarize(&scan(src), src, &Config::default())
     }
 
     #[test]

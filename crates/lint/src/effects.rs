@@ -1,11 +1,13 @@
-//! Per-function *effect summaries* over the masked token stream, feeding
-//! the serve-layer concurrency and durability rules R14–R16.
+//! The *effect* facts behind the serve-layer concurrency and durability
+//! rules R14–R16, and the rules themselves.
 //!
-//! Where [`crate::dataflow`] recovers def-use structure, this pass recovers
-//! *effects*: things a function does to the outside world that the serve
-//! layer's invariants constrain. Four effect families are extracted per
-//! function body (nested `fn` items excluded, closures attributed to the
-//! enclosing function, `#[cfg(test)]` regions invisible):
+//! Where [`crate::dataflow`] recovers def-use structure, [`scan_token`]
+//! recovers *effects*: things a function does to the outside world that
+//! the serve layer's invariants constrain. It runs in the same walk over
+//! each `fn`'s own tokens (nested `fn` items excluded, closures attributed
+//! to the enclosing function, `#[cfg(test)]` regions invisible) and
+//! records four effect families on the function's
+//! [`FnSummary`](crate::items::FnSummary):
 //!
 //! * **lock acquisitions** — calls to the configured acquisition fns
 //!   (`lock_recover`, `lock_state`) or methods (`.lock()`), with the lock
@@ -20,15 +22,17 @@
 //! * **durability** — spool saves, checkpoint writes, quarantines,
 //!   `atomic_write`/`sync_all` (these also count as blocking for R14);
 //! * **ack/requeue and timeout guards** — `"OK …"` line construction
-//!   (scanned on the *raw* source, because the lexer masks string
-//!   contents), scheduler requeue calls, and `set_read_timeout`/
-//!   `set_write_timeout`/`set_nonblocking` calls.
+//!   (scanned on the *raw* source by [`file_facts`], because the lexer
+//!   masks string contents), scheduler requeue calls, and
+//!   `set_read_timeout`/`set_write_timeout`/`set_nonblocking` calls.
 //!
-//! [`check`] then propagates the summaries interprocedurally over the PR-5
-//! call graph, exactly like the PR-6 `charging_set`: per-function effect
-//! sets close over callees by fixpoint, and demand sites that are not
-//! discharged inside their own function walk up the (reverse) call graph
-//! until a caller discharges them or a root is reached. Three rules:
+//! The facts are extracted for every file; the effect scope
+//! (`effect_paths` minus `blessed_recovery_paths`) applies when [`check`]
+//! queries them. It propagates them interprocedurally over the call graph,
+//! like the budget `charging_set`: per-function effect sets close over
+//! callees by fixpoint, and demand sites that are not discharged inside
+//! their own function walk up the (reverse) call graph until a caller
+//! discharges them or a root is reached. Three rules:
 //!
 //! * **R14 `lock-discipline`** — the global lock-order graph (lock B
 //!   acquired while A is held, including through calls) must be acyclic;
@@ -53,12 +57,13 @@
 //! held-across) at the acquisition line, so one invariant statement covers
 //! one guard's whole region.
 
-use crate::dataflow::{locate_fn, own_token_indices, punct_at, receiver_chain, word_at};
+use crate::dataflow::receiver_chain;
 use crate::graph::CallGraph;
-use crate::items::{self, FnItem, ParsedFile, Span, Tok};
+use crate::items::{punct_at, word_at, FnBody, FnSummary, ParsedFile, Tok};
 use crate::lexer::ScannedFile;
 use crate::rules::{Config, Rule, Violation};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use crate::semantic::in_effect_scope;
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 /// One lock acquisition with its held region.
 #[derive(Debug, Clone)]
@@ -83,61 +88,6 @@ pub struct EffectSite {
     pub what: String,
 }
 
-/// Per-function effect summary.
-#[derive(Debug, Clone)]
-pub struct FnEffects {
-    /// Function name.
-    pub name: String,
-    /// Enclosing `impl`/`trait` type, if any.
-    pub qualifier: Option<String>,
-    /// Line of the `fn` keyword.
-    pub line: usize,
-    /// Body line span.
-    pub body: Span,
-    /// Lock acquisitions, in order.
-    pub locks: Vec<LockSite>,
-    /// Blocking-I/O sites (socket/file reads, writes, flush, accept…).
-    pub blocking: Vec<EffectSite>,
-    /// Durability sites (spool saves, checkpoints, quarantine, fsync).
-    pub durable: Vec<EffectSite>,
-    /// Timeout-guard sites (`set_read_timeout` & friends).
-    pub guards: Vec<EffectSite>,
-    /// `"OK …"` ack-line construction sites (raw-source lines).
-    pub acks: Vec<usize>,
-    /// Requeue sites (`enqueue(..)`).
-    pub requeues: Vec<EffectSite>,
-}
-
-impl FnEffects {
-    /// `Qualifier::name` or plain `name` for display.
-    pub fn display_name(&self) -> String {
-        match &self.qualifier {
-            Some(q) => format!("{q}::{}", self.name),
-            None => self.name.clone(),
-        }
-    }
-
-    /// Whether the function has any effect worth printing.
-    pub fn has_effects(&self) -> bool {
-        !(self.locks.is_empty()
-            && self.blocking.is_empty()
-            && self.durable.is_empty()
-            && self.guards.is_empty()
-            && self.acks.is_empty()
-            && self.requeues.is_empty())
-    }
-}
-
-/// Effect results for one file.
-#[derive(Debug, Clone, Default)]
-pub struct FileEffects {
-    /// Per-function summaries, in `fn`-keyword order.
-    pub fns: Vec<FnEffects>,
-    /// Lines carrying the poisoned-lock recovery idiom
-    /// (`unwrap_or_else` + `into_inner` on one masked line).
-    pub recovery_lines: Vec<usize>,
-}
-
 /// Per-crate effect coverage, floored by `tests/lint_gate.rs` so a
 /// path-scope typo cannot silently empty R14–R16.
 #[derive(Debug, Clone, Copy, Default)]
@@ -156,15 +106,15 @@ pub struct CrateEffects {
     pub requeue_sites: usize,
 }
 
-/// Adds one file's sites to a per-crate tally.
-pub fn tally(fe: &FileEffects, agg: &mut CrateEffects) {
-    for f in &fe.fns {
-        agg.lock_sites += f.locks.len();
-        agg.durability_sites += f.durable.len();
-        agg.blocking_sites += f.blocking.len();
-        agg.guard_sites += f.guards.len();
-        agg.ack_sites += f.acks.len();
-        agg.requeue_sites += f.requeues.len();
+impl CrateEffects {
+    /// Adds one function's sites to the tally.
+    pub(crate) fn add(&mut self, f: &FnSummary) {
+        self.lock_sites += f.locks.len();
+        self.durability_sites += f.durable.len();
+        self.blocking_sites += f.blocking.len();
+        self.guard_sites += f.guards.len();
+        self.ack_sites += f.acks.len();
+        self.requeue_sites += f.requeues.len();
     }
 }
 
@@ -192,63 +142,32 @@ const ACK_PARSE_WORDS: [&str; 6] = [
     "eq",
 ];
 
-/// Runs the per-function effect extraction over one scanned+parsed file.
-/// `source` is the raw (unmasked) text — ack lines live inside string
-/// literals, which the lexer masks to spaces.
-pub fn analyze(
-    scanned: &ScannedFile,
-    source: &str,
-    parsed: &ParsedFile,
-    config: &Config,
-) -> FileEffects {
-    let toks = items::tokenize(scanned);
-    let close = items::match_braces(&toks);
-    let mut out = FileEffects::default();
-
+/// Fills the file-level effect facts: poisoned-lock recovery lines, and
+/// `"OK …"` ack lines scanned on the raw `source` and attributed to the
+/// innermost enclosing fn. A parse-shaped occurrence
+/// (`strip_prefix("OK ")`) is a read of the protocol, not an
+/// acknowledgment.
+pub(crate) fn file_facts(parsed: &mut ParsedFile, scanned: &ScannedFile, source: &str) {
     for (idx, line) in scanned.lines.iter().enumerate() {
-        if !line.in_test
-            && line.code.contains("unwrap_or_else")
-            && line.code.contains("into_inner")
+        if !line.in_test && line.code.contains("unwrap_or_else") && line.code.contains("into_inner")
         {
-            out.recovery_lines.push(idx + 1);
+            parsed.recovery_lines.push(idx + 1);
         }
     }
-
-    for f in &parsed.fns {
-        if f.body.is_none() {
-            continue;
-        }
-        if let Some(fe) = analyze_fn(&toks, &close, f, config) {
-            out.fns.push(fe);
-        }
-    }
-    out.fns.sort_by_key(|f| f.line);
-
-    // Ack lines: `"OK ` on the raw source, attributed to the innermost
-    // enclosing fn. A parse-shaped occurrence (`strip_prefix("OK ")`) is
-    // a read of the protocol, not an acknowledgment.
     for (idx, raw) in source.lines().enumerate() {
         let lineno = idx + 1;
         if scanned
             .lines
             .get(idx)
             .is_none_or(|l| l.in_test || l.comment.contains("\"OK "))
+            || !is_ack_line(raw)
         {
             continue;
         }
-        if !is_ack_line(raw) {
-            continue;
-        }
-        if let Some(fe) = out
-            .fns
-            .iter_mut()
-            .filter(|f| f.body.contains(lineno))
-            .min_by_key(|f| f.body.len())
-        {
-            fe.acks.push(lineno);
+        if let Some(k) = parsed.innermost_fn(lineno) {
+            parsed.fns[k].acks.push(lineno);
         }
     }
-    out
 }
 
 /// Whether a raw source line constructs an `"OK …"` protocol line.
@@ -269,26 +188,19 @@ fn is_ack_line(raw: &str) -> bool {
     false
 }
 
-/// The enclosing-`{` token index for every token in the body of `open`.
-fn enclosing_opens(toks: &[Tok], close: &[usize], open: usize) -> HashMap<usize, usize> {
-    let mut encl = HashMap::new();
-    let mut stack = vec![open];
-    for k in open + 1..close[open] {
-        match punct_at(toks, k) {
-            Some('{') => {
-                encl.insert(k, *stack.last().unwrap_or(&open));
-                stack.push(k);
-            }
-            Some('}') => {
-                stack.pop();
-                encl.insert(k, *stack.last().unwrap_or(&open));
-            }
-            _ => {
-                encl.insert(k, *stack.last().unwrap_or(&open));
-            }
+/// The `{` of the innermost block around token `i` in the body of `b`
+/// (the body's own `{` when `i` sits at the top level).
+fn enclosing_open(b: &FnBody, i: usize) -> usize {
+    let mut depth = 0usize;
+    for k in (b.open + 1..i).rev() {
+        match punct_at(b.toks, k) {
+            Some('}') => depth += 1,
+            Some('{') if depth == 0 => return k,
+            Some('{') => depth -= 1,
+            _ => {}
         }
     }
-    encl
+    b.open
 }
 
 /// The last identifier inside the call parens starting at token `paren`
@@ -320,7 +232,8 @@ fn last_arg_component(toks: &[Tok], paren: usize) -> Option<String> {
 /// Walks back from own-position `p` to the start of the statement; returns
 /// whether the statement is a `let` binding and the bound name (first
 /// non-`mut` word after `let`).
-fn binding_before(toks: &[Tok], own: &[usize], p: usize) -> (bool, Option<String>) {
+fn binding_before(b: &FnBody, p: usize) -> (bool, Option<String>) {
+    let (toks, own) = (b.toks, b.own);
     let mut q = p;
     while q > 0 {
         q -= 1;
@@ -344,17 +257,9 @@ fn binding_before(toks: &[Tok], own: &[usize], p: usize) -> (bool, Option<String
 }
 
 /// Computes the held-region end line for an acquisition at own-position
-/// `p` (token index `i`).
-fn held_end_line(
-    toks: &[Tok],
-    close: &[usize],
-    encl: &HashMap<usize, usize>,
-    own: &[usize],
-    p: usize,
-    i: usize,
-    bound: bool,
-    guard: Option<&str>,
-) -> usize {
+/// `p`, given whether its guard is `bound` and the guard's name.
+fn held_end_line(b: &FnBody, p: usize, bound: bool, guard: Option<&str>) -> usize {
+    let (toks, i) = (b.toks, b.own[p]);
     if !bound {
         // A temporary guard dies at the end of its statement (or, for an
         // `if`/`while` condition, before the branch block opens).
@@ -369,15 +274,13 @@ fn held_end_line(
         }
         return toks[i].line;
     }
-    let block = *encl.get(&i).unwrap_or(&0);
-    let block_close = close.get(block).copied().unwrap_or(usize::MAX);
-    let end_line = toks
-        .get(block_close)
-        .map_or(toks[i].line, |t| t.line);
+    let block = enclosing_open(b, i);
+    let block_close = b.close.get(block).copied().unwrap_or(usize::MAX);
+    let end_line = toks.get(block_close).map_or(toks[i].line, |t| t.line);
     // A same-depth `drop(guard)` ends the region early; a drop in a nested
     // arm does not (conservative: the guard may be live on other paths).
     if let Some(g) = guard {
-        for &k in own.iter().skip(p + 1) {
+        for &k in b.own.iter().skip(p + 1) {
             if k >= block_close {
                 break;
             }
@@ -385,7 +288,7 @@ fn held_end_line(
                 && punct_at(toks, k + 1) == Some('(')
                 && word_at(toks, k + 2) == Some(g)
                 && punct_at(toks, k + 3) == Some(')')
-                && encl.get(&k) == Some(&block)
+                && enclosing_open(b, k) == block
             {
                 return toks[k].line;
             }
@@ -398,100 +301,62 @@ fn name_in(list: &[String], w: &str) -> bool {
     list.iter().any(|m| m == w)
 }
 
-/// Extracts one function's effect summary.
-fn analyze_fn(
-    toks: &[Tok],
-    close: &[usize],
-    f: &FnItem,
-    config: &Config,
-) -> Option<FnEffects> {
-    let (_kw, open) = locate_fn(toks, close, f)?;
-    let own = own_token_indices(toks, close, open);
-    let encl = enclosing_opens(toks, close, open);
-    let mut fe = FnEffects {
-        name: f.name.clone(),
-        qualifier: f.qualifier.clone(),
-        line: f.line,
-        body: f.body?,
-        locks: Vec::new(),
-        blocking: Vec::new(),
-        durable: Vec::new(),
-        guards: Vec::new(),
-        acks: Vec::new(),
-        requeues: Vec::new(),
-    };
-
-    for (p, &i) in own.iter().enumerate() {
-        let Some(w) = word_at(toks, i) else { continue };
-        let line = toks[i].line;
-        if punct_at(toks, i + 1) == Some('!')
-            && punct_at(toks, i + 2) == Some('(')
-            && name_in(&config.blocking_macros, w)
-        {
-            fe.blocking.push(EffectSite {
-                line,
-                what: format!("{w}!"),
-            });
-            continue;
-        }
-        if punct_at(toks, i + 1) != Some('(') {
-            continue;
-        }
-        let after_dot = p > 0 && punct_at(toks, own[p - 1]) == Some('.');
-        let lock_name = if !after_dot && name_in(&config.lock_acquire_fns, w) {
-            last_arg_component(toks, i + 1)
-        } else if after_dot && name_in(&config.lock_acquire_methods, w) {
-            receiver_chain(toks, &own, p - 1).0.last().cloned()
-        } else {
-            None
-        };
-        if let Some(name) = lock_name {
-            let (bound, guard) = binding_before(toks, &own, p);
-            let end_line =
-                held_end_line(toks, close, &encl, &own, p, i, bound, guard.as_deref());
-            fe.locks.push(LockSite {
-                name,
-                line,
-                end_line,
-                bound,
-            });
-        } else if name_in(&config.durability_methods, w) {
-            fe.durable.push(EffectSite {
-                line,
-                what: w.to_string(),
-            });
-        } else if name_in(&config.blocking_methods, w) {
-            fe.blocking.push(EffectSite {
-                line,
-                what: w.to_string(),
-            });
-        } else if name_in(&config.timeout_guard_methods, w) {
-            fe.guards.push(EffectSite {
-                line,
-                what: w.to_string(),
-            });
-        } else if !after_dot && name_in(&config.requeue_fns, w) {
-            fe.requeues.push(EffectSite {
-                line,
-                what: w.to_string(),
-            });
-        }
+/// Records the effect fact at own-position `p` of `f`'s body, if any: a
+/// blocking macro, or a lock, durability, blocking, timeout-guard, or
+/// requeue call.
+pub(crate) fn scan_token(f: &mut FnSummary, b: &FnBody, p: usize, config: &Config) {
+    let (toks, own) = (b.toks, b.own);
+    let i = own[p];
+    let Some(w) = word_at(toks, i) else { return };
+    let line = toks[i].line;
+    let site = |what: String| EffectSite { line, what };
+    if punct_at(toks, i + 1) == Some('!')
+        && punct_at(toks, i + 2) == Some('(')
+        && name_in(&config.blocking_macros, w)
+    {
+        f.blocking.push(site(format!("{w}!")));
+        return;
     }
-    Some(fe)
+    if punct_at(toks, i + 1) != Some('(') {
+        return;
+    }
+    let after_dot = p > 0 && punct_at(toks, own[p - 1]) == Some('.');
+    let lock_name = if !after_dot && name_in(&config.lock_acquire_fns, w) {
+        last_arg_component(toks, i + 1)
+    } else if after_dot && name_in(&config.lock_acquire_methods, w) {
+        receiver_chain(b, p - 1).0.last().cloned()
+    } else {
+        None
+    };
+    if let Some(name) = lock_name {
+        let (bound, guard) = binding_before(b, p);
+        f.locks.push(LockSite {
+            name,
+            line,
+            end_line: held_end_line(b, p, bound, guard.as_deref()),
+            bound,
+        });
+    } else if name_in(&config.durability_methods, w) {
+        f.durable.push(site(w.to_string()));
+    } else if name_in(&config.blocking_methods, w) {
+        f.blocking.push(site(w.to_string()));
+    } else if name_in(&config.timeout_guard_methods, w) {
+        f.guards.push(site(w.to_string()));
+    } else if !after_dot && name_in(&config.requeue_fns, w) {
+        f.requeues.push(site(w.to_string()));
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Interprocedural checking (R14–R16).
 // ---------------------------------------------------------------------------
 
-/// Runs R14–R16 over the whole workspace. `rels[fi]` / `effects[fi]` are
-/// parallel to the semantic file list; files outside the effect scope carry
-/// an empty [`FileEffects`]. Returns the violations and the global
-/// lock-order edges (for the deterministic dump).
+/// Runs R14–R16 over the whole workspace. Only summaries in the effect
+/// scope are consulted; functions elsewhere count as effect-free. Returns
+/// the violations and the global lock-order edges (for the deterministic
+/// dump).
 pub(crate) fn check<FA, FS>(
     graph: &CallGraph,
-    rels: &[String],
-    effects: &[FileEffects],
     config: &Config,
     allowed: &FA,
     snippet: &FS,
@@ -501,24 +366,10 @@ where
     FS: Fn(&str, usize) -> String,
 {
     let mut out = Vec::new();
-
-    // Node id → (file index, FnEffects index).
-    let mut by_key: HashMap<(&str, usize, &str), (usize, usize)> = HashMap::new();
-    for (fi, fe) in effects.iter().enumerate() {
-        for (k, f) in fe.fns.iter().enumerate() {
-            by_key.insert((rels[fi].as_str(), f.line, f.name.as_str()), (fi, k));
-        }
-    }
-    let node_fx: Vec<Option<(usize, usize)>> = graph
-        .nodes
-        .iter()
-        .map(|n| {
-            by_key
-                .get(&(n.file.as_str(), n.line, n.name.as_str()))
-                .copied()
-        })
-        .collect();
-    let fx = |id: usize| node_fx[id].map(|(fi, k)| (&rels[fi], &effects[fi].fns[k]));
+    let fx = |id: usize| {
+        let (file, f) = graph.node(id);
+        in_effect_scope(file, config).then_some((file, f))
+    };
 
     // Reverse edges: callee → (caller, call line).
     let mut callers: Vec<Vec<(usize, usize)>> = vec![Vec::new(); graph.nodes.len()];
@@ -586,7 +437,7 @@ where
                 }
                 out.push(Violation {
                     rule: Rule::LockDiscipline,
-                    path: file.clone(),
+                    path: file.to_string(),
                     line: site.line,
                     message: format!(
                         "lock `{}` (acquired at line {}) is held across blocking `{}(..)` \
@@ -614,7 +465,7 @@ where
                 }
                 out.push(Violation {
                     rule: Rule::LockDiscipline,
-                    path: file.clone(),
+                    path: file.to_string(),
                     line: e.line,
                     message: format!(
                         "lock `{}` (acquired at line {}) is held across the call to \
@@ -624,7 +475,7 @@ where
                          acquisition line",
                         lock.name,
                         lock.line,
-                        graph.nodes[e.to].display_name()
+                        graph.node(e.to).1.display_name()
                     ),
                     snippet: snippet(file, e.line),
                 });
@@ -635,7 +486,7 @@ where
                     order.push(OrderEdge {
                         from: lock.name.clone(),
                         to: l2.name.clone(),
-                        file: file.clone(),
+                        file: file.to_string(),
                         line: l2.line,
                     });
                 }
@@ -648,7 +499,7 @@ where
                     order.push(OrderEdge {
                         from: lock.name.clone(),
                         to: nm.clone(),
-                        file: file.clone(),
+                        file: file.to_string(),
                         line: e.line,
                     });
                 }
@@ -661,7 +512,9 @@ where
     // Cycle check: an edge u→v where v already reaches u closes a cycle.
     let mut adj: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
     for e in &order {
-        adj.entry(e.from.as_str()).or_default().insert(e.to.as_str());
+        adj.entry(e.from.as_str())
+            .or_default()
+            .insert(e.to.as_str());
     }
     let reaches = |from: &str, to: &str| -> bool {
         let mut seen: BTreeSet<&str> = BTreeSet::new();
@@ -703,9 +556,11 @@ where
     }
 
     // Poisoned-lock recovery outside the blessed helper.
-    for (fi, fe) in effects.iter().enumerate() {
-        let file = rels[fi].as_str();
-        for &line in &fe.recovery_lines {
+    for (file, parsed) in &graph.files {
+        if !in_effect_scope(file, config) {
+            continue;
+        }
+        for &line in &parsed.recovery_lines {
             if allowed(file, line, Rule::LockDiscipline) {
                 continue;
             }
@@ -748,15 +603,16 @@ where
             if prefix_durable(id, line) || allowed(file, line, Rule::DurabilityOrdering) {
                 continue;
             }
-            let Some(chain) = undischarged_chain(graph, &callers, id, &|c, lc| {
-                prefix_durable(c, lc)
-            }, &|c| callers[c].is_empty())
+            let Some(chain) =
+                undischarged_chain(graph, &callers, id, &|c, lc| prefix_durable(c, lc), &|c| {
+                    callers[c].is_empty()
+                })
             else {
                 continue;
             };
             out.push(Violation {
                 rule: Rule::DurabilityOrdering,
-                path: file.clone(),
+                path: file.to_string(),
                 line,
                 message: format!(
                     "{what} in `{}` is not dominated by a durability effect (chain: \
@@ -771,14 +627,13 @@ where
     }
 
     // ---- R16: socket blocking reachable from the accept loop is timed. ----
-    let is_root: Vec<bool> = graph
-        .nodes
-        .iter()
-        .map(|nd| {
+    let is_root: Vec<bool> = (0..n)
+        .map(|id| {
+            let (file, f) = graph.node(id);
             config
                 .accept_roots
                 .iter()
-                .any(|(p, name)| nd.file.contains(p.as_str()) && nd.name == *name)
+                .any(|(p, name)| file.contains(p.as_str()) && f.name == *name)
         })
         .collect();
     let prefix_guard = |id: usize, line: usize| -> bool {
@@ -790,17 +645,19 @@ where
     };
     for id in 0..n {
         let Some((file, f)) = fx(id) else { continue };
-        if !config.socket_paths.iter().any(|p| file.contains(p.as_str())) {
+        if !config
+            .socket_paths
+            .iter()
+            .any(|p| file.contains(p.as_str()))
+        {
             continue;
         }
         for site in &f.blocking {
-            if prefix_guard(id, site.line)
-                || allowed(file, site.line, Rule::UnboundedBlocking)
-            {
+            if prefix_guard(id, site.line) || allowed(file, site.line, Rule::UnboundedBlocking) {
                 continue;
             }
             let chain = if is_root[id] {
-                Some(format!("`{}`", graph.nodes[id].display_name()))
+                Some(format!("`{}`", graph.node(id).1.display_name()))
             } else {
                 undischarged_chain(graph, &callers, id, &|c, lc| prefix_guard(c, lc), &|c| {
                     is_root[c]
@@ -809,7 +666,7 @@ where
             let Some(chain) = chain else { continue };
             out.push(Violation {
                 rule: Rule::UnboundedBlocking,
-                path: file.clone(),
+                path: file.to_string(),
                 line: site.line,
                 message: format!(
                     "blocking `{}(..)` in `{}` is reachable from the accept loop \
@@ -840,7 +697,6 @@ fn undischarged_chain(
     is_top: &dyn Fn(usize) -> bool,
 ) -> Option<String> {
     fn walk(
-        graph: &CallGraph,
         callers: &[Vec<(usize, usize)>],
         u: usize,
         discharged: &dyn Fn(usize, usize) -> bool,
@@ -856,7 +712,7 @@ fn undischarged_chain(
                 continue;
             }
             path.push((c, lc));
-            if walk(graph, callers, c, discharged, is_top, visited, path) {
+            if walk(callers, c, discharged, is_top, visited, path) {
                 return true;
             }
             path.pop();
@@ -865,27 +721,15 @@ fn undischarged_chain(
     }
     let mut visited = HashSet::from([start]);
     let mut path = Vec::new();
-    if !walk(
-        graph,
-        callers,
-        start,
-        discharged,
-        is_top,
-        &mut visited,
-        &mut path,
-    ) {
+    if !walk(callers, start, discharged, is_top, &mut visited, &mut path) {
         return None;
     }
     // `path` runs from the demand's fn upward; render top-down.
     let mut parts: Vec<String> = Vec::new();
     for &(c, lc) in path.iter().rev() {
-        parts.push(format!(
-            "`{}` ({}:{})",
-            graph.nodes[c].display_name(),
-            graph.nodes[c].file,
-            lc
-        ));
+        let (file, f) = graph.node(c);
+        parts.push(format!("`{}` ({file}:{lc})", f.display_name()));
     }
-    parts.push(format!("`{}`", graph.nodes[start].display_name()));
+    parts.push(format!("`{}`", graph.node(start).1.display_name()));
     Some(parts.join(" -> "))
 }

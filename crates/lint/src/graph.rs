@@ -19,37 +19,8 @@
 //! under-approximation (bare identifiers passed as function pointers) is
 //! called out in the design notes.
 
-use crate::items::{Callee, FnItem, LoopItem, ParsedFile, Span};
+use crate::items::{Callee, FnSummary, ParsedFile};
 use std::collections::{HashMap, HashSet, VecDeque};
-
-/// One function node in the workspace call graph.
-#[derive(Debug, Clone)]
-pub struct FnNode {
-    /// Workspace-relative file (forward slashes).
-    pub file: String,
-    /// Function name.
-    pub name: String,
-    /// Enclosing `impl`/`trait` type, if any.
-    pub qualifier: Option<String>,
-    /// True for plain `pub`.
-    pub is_pub: bool,
-    /// Line of the `fn` keyword.
-    pub line: usize,
-    /// Body line span (`None` for bodyless trait declarations).
-    pub body: Option<Span>,
-    /// Loops in the body.
-    pub loops: Vec<LoopItem>,
-}
-
-impl FnNode {
-    /// `Qualifier::name` or plain `name` for display.
-    pub fn display_name(&self) -> String {
-        match &self.qualifier {
-            Some(q) => format!("{q}::{}", self.name),
-            None => self.name.clone(),
-        }
-    }
-}
 
 /// A call edge: `to` is the callee node id, `line` the call-site line in the
 /// caller's file.
@@ -75,11 +46,15 @@ pub enum Parent {
     },
 }
 
-/// The workspace call graph.
+/// The workspace call graph over the parsed files it owns. A node id
+/// indexes one [`FnSummary`] directly (see [`CallGraph::node`]).
 #[derive(Debug, Clone, Default)]
 pub struct CallGraph {
-    /// Function nodes, ordered by (file, line).
-    pub nodes: Vec<FnNode>,
+    /// The parsed files with their workspace-relative paths, in input order.
+    pub files: Vec<(String, ParsedFile)>,
+    /// Node id → `(file index, index into that file's fns)`, ordered by
+    /// file and then by `fn` line.
+    pub nodes: Vec<(usize, usize)>,
     /// Outgoing edges per node, in call order, deduplicated.
     pub edges: Vec<Vec<Edge>>,
 }
@@ -87,30 +62,20 @@ pub struct CallGraph {
 impl CallGraph {
     /// Builds the graph from parsed files. `files` must already be sorted by
     /// path (as produced by the workspace walk) for deterministic node ids.
-    pub fn build(files: &[(String, ParsedFile)]) -> CallGraph {
-        let mut nodes = Vec::new();
-        let mut calls: Vec<&FnItem> = Vec::new();
-        for (path, parsed) in files {
-            for f in &parsed.fns {
-                nodes.push(FnNode {
-                    file: path.clone(),
-                    name: f.name.clone(),
-                    qualifier: f.qualifier.clone(),
-                    is_pub: f.is_pub,
-                    line: f.line,
-                    body: f.body,
-                    loops: f.loops.clone(),
-                });
-                calls.push(f);
-            }
-        }
+    pub fn build(files: Vec<(String, ParsedFile)>) -> CallGraph {
+        let nodes: Vec<(usize, usize)> = files
+            .iter()
+            .enumerate()
+            .flat_map(|(fi, (_, p))| (0..p.fns.len()).map(move |k| (fi, k)))
+            .collect();
+        let fns: Vec<&FnSummary> = nodes.iter().map(|&(fi, k)| &files[fi].1.fns[k]).collect();
 
         let mut by_name: HashMap<&str, Vec<usize>> = HashMap::new();
         let mut free_by_name: HashMap<&str, Vec<usize>> = HashMap::new();
         let mut method_by_name: HashMap<&str, Vec<usize>> = HashMap::new();
         let mut by_qual_name: HashMap<(&str, &str), Vec<usize>> = HashMap::new();
         let mut qualifiers: HashSet<&str> = HashSet::new();
-        for (id, n) in nodes.iter().enumerate() {
+        for (id, n) in fns.iter().enumerate() {
             by_name.entry(&n.name).or_default().push(id);
             match &n.qualifier {
                 Some(q) => {
@@ -127,7 +92,7 @@ impl CallGraph {
 
         let empty: Vec<usize> = Vec::new();
         let mut edges = Vec::with_capacity(nodes.len());
-        for f in &calls {
+        for f in &fns {
             let mut out: Vec<Edge> = Vec::new();
             let mut seen: HashSet<(usize, usize)> = HashSet::new();
             for c in &f.calls {
@@ -159,13 +124,30 @@ impl CallGraph {
             }
             edges.push(out);
         }
-        CallGraph { nodes, edges }
+        CallGraph {
+            files,
+            nodes,
+            edges,
+        }
     }
 
-    /// BFS from `roots`, skipping edges for which `cut` returns true.
-    /// Returns, per node, how it was first reached (`None` = unreachable).
-    /// Roots are visited in id order, so parent chains are deterministic.
-    pub fn reachable<F: Fn(&FnNode, usize) -> bool>(
+    /// The file path and summary behind node `id`.
+    pub fn node(&self, id: usize) -> (&str, &FnSummary) {
+        let (fi, k) = self.nodes[id];
+        let (path, parsed) = &self.files[fi];
+        (path, &parsed.fns[k])
+    }
+
+    /// The node id of fn `k` in file `fi`.
+    pub(crate) fn node_id(&self, fi: usize, k: usize) -> usize {
+        self.nodes.partition_point(|&n| n < (fi, k))
+    }
+
+    /// BFS from `roots`, skipping edges for which `cut(caller id, call
+    /// line)` returns true. Returns, per node, how it was first reached
+    /// (`None` = unreachable). Roots are visited in id order, so parent
+    /// chains are deterministic.
+    pub fn reachable<F: Fn(usize, usize) -> bool>(
         &self,
         roots: &[usize],
         cut: F,
@@ -180,7 +162,7 @@ impl CallGraph {
         }
         while let Some(id) = queue.pop_front() {
             for e in &self.edges[id] {
-                if parent[e.to].is_some() || cut(&self.nodes[id], e.line) {
+                if parent[e.to].is_some() || cut(id, e.line) {
                     continue;
                 }
                 parent[e.to] = Some(Parent::Via {
@@ -197,7 +179,13 @@ impl CallGraph {
     /// charge line (per `is_charge_line`, a per-file line predicate) plus
     /// every function that calls one, transitively.
     pub fn charging_set<F: Fn(&str, usize) -> bool>(&self, is_charge_line: F) -> Vec<bool> {
-        let mut charging = vec![false; self.nodes.len()];
+        let mut charging: Vec<bool> = (0..self.nodes.len())
+            .map(|id| {
+                let (file, f) = self.node(id);
+                f.body
+                    .is_some_and(|b| (b.start..=b.end).any(|l| is_charge_line(file, l)))
+            })
+            .collect();
         // Reverse edges for the fixpoint.
         let mut rev: Vec<Vec<usize>> = vec![Vec::new(); self.nodes.len()];
         for (from, out) in self.edges.iter().enumerate() {
@@ -205,15 +193,7 @@ impl CallGraph {
                 rev[e.to].push(from);
             }
         }
-        let mut queue = VecDeque::new();
-        for (id, n) in self.nodes.iter().enumerate() {
-            if let Some(body) = n.body {
-                if (body.start..=body.end).any(|l| is_charge_line(&n.file, l)) {
-                    charging[id] = true;
-                    queue.push_back(id);
-                }
-            }
-        }
+        let mut queue: VecDeque<usize> = (0..self.nodes.len()).filter(|&id| charging[id]).collect();
         while let Some(id) = queue.pop_front() {
             for &caller in &rev[id] {
                 if !charging[caller] {
@@ -232,7 +212,7 @@ impl CallGraph {
         let mut cur = target;
         let mut guard = 0;
         loop {
-            names.push(self.nodes[cur].display_name());
+            names.push(self.node(cur).1.display_name());
             match parents[cur] {
                 Some(Parent::Via { from, .. }) => cur = from,
                 Some(Parent::Root) => break,
@@ -251,37 +231,32 @@ impl CallGraph {
     /// per function in (file, line) order, listing loops and resolved calls.
     pub fn dump(&self) -> String {
         let mut order: Vec<usize> = (0..self.nodes.len()).collect();
-        order.sort_by(|&a, &b| {
-            (&self.nodes[a].file, self.nodes[a].line, &self.nodes[a].name).cmp(&(
-                &self.nodes[b].file,
-                self.nodes[b].line,
-                &self.nodes[b].name,
-            ))
+        order.sort_by_key(|&id| {
+            let (file, f) = self.node(id);
+            (file, f.line, &f.name)
         });
         let mut out = String::new();
         for id in order {
-            let n = &self.nodes[id];
+            let (file, n) = self.node(id);
             out.push_str(&format!(
-                "fn {}:{} {}{}\n",
-                n.file,
+                "fn {file}:{} {}{}\n",
                 n.line,
                 if n.is_pub { "pub " } else { "" },
                 n.display_name()
             ));
             for l in &n.loops {
                 out.push_str(&format!(
-                    "  loop {}:{} ({}, body {}..{})\n",
-                    n.file, l.line, l.kind, l.body.start, l.body.end
+                    "  loop {file}:{} ({}, body {}..{})\n",
+                    l.line, l.kind, l.body.start, l.body.end
                 ));
             }
             let mut edges = self.edges[id].clone();
             edges.sort_by_key(|e| (e.line, e.to));
             for e in edges {
-                let t = &self.nodes[e.to];
+                let (tfile, t) = self.node(e.to);
                 out.push_str(&format!(
-                    "  call {} ({}:{}) at line {}\n",
+                    "  call {} ({tfile}:{}) at line {}\n",
                     t.display_name(),
-                    t.file,
                     t.line,
                     e.line
                 ));
@@ -298,15 +273,18 @@ mod tests {
     use crate::lexer::scan;
 
     fn graph_of(files: &[(&str, &str)]) -> CallGraph {
-        let parsed: Vec<(String, ParsedFile)> = files
-            .iter()
-            .map(|(p, s)| (p.to_string(), parse(&scan(s))))
-            .collect();
-        CallGraph::build(&parsed)
+        CallGraph::build(
+            files
+                .iter()
+                .map(|(p, s)| (p.to_string(), parse(&scan(s))))
+                .collect(),
+        )
     }
 
     fn id_of(g: &CallGraph, name: &str) -> usize {
-        g.nodes.iter().position(|n| n.name == name).unwrap()
+        (0..g.nodes.len())
+            .position(|id| g.node(id).1.name == name)
+            .unwrap()
     }
 
     #[test]
@@ -326,7 +304,7 @@ impl S {
         let solve = id_of(&g, "solve");
         let targets: Vec<&str> = g.edges[solve]
             .iter()
-            .map(|e| g.nodes[e.to].name.as_str())
+            .map(|e| g.node(e.to).1.name.as_str())
             .collect();
         assert_eq!(targets, vec!["helper", "assoc", "step"]);
     }
@@ -352,7 +330,7 @@ impl S {
         ]);
         let top = id_of(&g, "top");
         assert_eq!(g.edges[top].len(), 1);
-        assert_eq!(g.nodes[g.edges[top][0].to].name, "deep");
+        assert_eq!(g.node(g.edges[top][0].to).1.name, "deep");
     }
 
     #[test]
@@ -388,7 +366,7 @@ fn leaf() {}
         let root = id_of(&g, "root");
         let leaf = id_of(&g, "leaf");
         // Cut the call on line 2 (mid -> leaf).
-        let parents = g.reachable(&[root], |n, line| n.name == "mid" && line == 2);
+        let parents = g.reachable(&[root], |id, line| g.node(id).1.name == "mid" && line == 2);
         assert!(parents[leaf].is_none());
     }
 

@@ -11,8 +11,17 @@
 //! reachability rules stricter, never silently lenient) except for
 //! function-pointer values passed as bare identifiers, which are not
 //! resolvable by name alone.
+//!
+//! The same walk is the only pass over a file's tokens: while it parses a
+//! `fn` body it records the tokens the function owns, and [`summarize`]
+//! extracts the per-function facts the semantic rules R8–R16 query (see
+//! [`FnSummary`]) from that list, so no rule re-tokenizes or re-locates a
+//! function.
 
+use crate::dataflow::{self, Binding, GrowthSite, HostileField, UnusedResultCandidate};
+use crate::effects::{self, EffectSite, LockSite};
 use crate::lexer::ScannedFile;
+use crate::rules::Config;
 
 /// One token of masked code: a word (identifier, keyword, or number) or a
 /// single punctuation character.
@@ -116,9 +125,14 @@ pub struct StructItem {
     pub fields: Vec<FieldItem>,
 }
 
-/// A parsed `fn` item.
-#[derive(Debug, Clone)]
-pub struct FnItem {
+/// One `fn` item and the per-function facts the semantic rules R8–R16 read
+/// about it, extracted from the tokens the item owns (its body, nested `fn`
+/// items carved out, closures kept) in the same pass that found the item.
+///
+/// [`parse`] fills only the structural fields (name through
+/// `returns_result`); [`summarize`] also fills the dataflow and effect facts.
+#[derive(Debug, Clone, Default)]
+pub struct FnSummary {
     /// The function name.
     pub name: String,
     /// The surrounding `impl`/`trait` target type, if any.
@@ -133,15 +147,85 @@ pub struct FnItem {
     pub loops: Vec<LoopItem>,
     /// Call sites in the body (nested `fn` items excluded).
     pub calls: Vec<Call>,
+    /// Whether the signature of a bodied fn returns a `Result`.
+    pub returns_result: bool,
+    /// Lines with a direct `max_intermediate` charge call.
+    pub charge_lines: Vec<usize>,
+    /// Collection mutation sites.
+    pub grows: Vec<GrowthSite>,
+    /// Lines with a `let _ = ...;` wildcard discard.
+    pub wildcard_lets: Vec<usize>,
+    /// Lines with a statement-final `.ok();` discard.
+    pub ok_discards: Vec<usize>,
+    /// Candidate unused-`Result` bindings (filtered against the workspace
+    /// `returns_result` summaries by the semantic pass).
+    pub unused_candidates: Vec<UnusedResultCandidate>,
+    /// All `let` bindings seen, in order.
+    pub bindings: Vec<Binding>,
+    /// Lock acquisitions, in order.
+    pub locks: Vec<LockSite>,
+    /// Blocking-I/O sites (socket/file reads, writes, flush, accept…).
+    pub blocking: Vec<EffectSite>,
+    /// Durability sites (spool saves, checkpoints, quarantine, fsync).
+    pub durable: Vec<EffectSite>,
+    /// Timeout-guard sites (`set_read_timeout` & friends).
+    pub guards: Vec<EffectSite>,
+    /// `"OK …"` ack-line construction sites (raw-source lines).
+    pub acks: Vec<usize>,
+    /// Requeue sites (`enqueue(..)`).
+    pub requeues: Vec<EffectSite>,
 }
 
-/// All `fn` and `struct` items parsed from one file, in source order.
+impl FnSummary {
+    /// `Qualifier::name` or plain `name` for display.
+    pub fn display_name(&self) -> String {
+        match &self.qualifier {
+            Some(q) => format!("{q}::{}", self.name),
+            None => self.name.clone(),
+        }
+    }
+
+    /// Whether the function has any effect worth printing.
+    pub fn has_effects(&self) -> bool {
+        !(self.locks.is_empty()
+            && self.blocking.is_empty()
+            && self.durable.is_empty()
+            && self.guards.is_empty()
+            && self.acks.is_empty()
+            && self.requeues.is_empty())
+    }
+}
+
+/// All items parsed from one file, in source order, with the file's token
+/// stream and its file-level facts.
 #[derive(Debug, Clone, Default)]
 pub struct ParsedFile {
+    /// The file's masked token stream (test regions excluded).
+    pub toks: Vec<Tok>,
     /// The functions, in order of their `fn` keyword.
-    pub fns: Vec<FnItem>,
+    pub fns: Vec<FnSummary>,
     /// Top-level (and inline-module) structs with their named fields.
     pub structs: Vec<StructItem>,
+    /// `Send`-hostile struct fields (filled by [`summarize`]).
+    pub hostile_fields: Vec<HostileField>,
+    /// Lines with a `thread_local!` declaration (filled by [`summarize`]).
+    pub thread_local_lines: Vec<usize>,
+    /// Lines carrying the poisoned-lock recovery idiom (`unwrap_or_else` +
+    /// `into_inner` on one masked line; filled by [`summarize`]).
+    pub recovery_lines: Vec<usize>,
+}
+
+impl ParsedFile {
+    /// The innermost bodied fn whose body span contains `line` (the first
+    /// of equally short spans), as an index into `fns`.
+    pub(crate) fn innermost_fn(&self, line: usize) -> Option<usize> {
+        self.fns
+            .iter()
+            .enumerate()
+            .filter_map(|(k, f)| f.body.filter(|b| b.contains(line)).map(|b| (k, b.len())))
+            .min_by_key(|&(_, len)| len)
+            .map(|(k, _)| k)
+    }
 }
 
 /// Words that can precede `(` without being a call.
@@ -152,7 +236,7 @@ const NON_CALL_WORDS: [&str; 26] = [
 ];
 
 /// Tokenizes the masked, non-test lines of a scanned file.
-pub fn tokenize(file: &ScannedFile) -> Vec<Tok> {
+fn tokenize(file: &ScannedFile) -> Vec<Tok> {
     let mut toks = Vec::new();
     for (idx, line) in file.lines.iter().enumerate() {
         if line.in_test {
@@ -186,14 +270,14 @@ pub fn tokenize(file: &ScannedFile) -> Vec<Tok> {
     toks
 }
 
-fn word_at(toks: &[Tok], i: usize) -> Option<&str> {
+pub(crate) fn word_at(toks: &[Tok], i: usize) -> Option<&str> {
     match toks.get(i).map(|t| &t.kind) {
         Some(TokKind::Word(w)) => Some(w.as_str()),
         _ => None,
     }
 }
 
-fn punct_at(toks: &[Tok], i: usize) -> Option<char> {
+pub(crate) fn punct_at(toks: &[Tok], i: usize) -> Option<char> {
     match toks.get(i).map(|t| &t.kind) {
         Some(TokKind::Punct(c)) => Some(*c),
         _ => None,
@@ -203,7 +287,7 @@ fn punct_at(toks: &[Tok], i: usize) -> Option<char> {
 /// For each token index, the index of the matching `}` for a `{` (and the
 /// token count for unbalanced braces, which only happen on files the Rust
 /// compiler would reject anyway).
-pub(crate) fn match_braces(toks: &[Tok]) -> Vec<usize> {
+fn match_braces(toks: &[Tok]) -> Vec<usize> {
     let mut close = vec![toks.len(); toks.len()];
     let mut stack = Vec::new();
     for (i, t) in toks.iter().enumerate() {
@@ -220,28 +304,86 @@ pub(crate) fn match_braces(toks: &[Tok]) -> Vec<usize> {
     close
 }
 
-/// Parses a scanned file into its `fn` items.
+/// Parses a scanned file into its items: the structural fields of each
+/// [`FnSummary`] (no rule facts), its structs, and its token stream.
 pub fn parse(file: &ScannedFile) -> ParsedFile {
+    parse_with(file, None)
+}
+
+/// Parses a scanned file and extracts the facts the semantic rules query:
+/// per-fn dataflow and effect facts from each item's own tokens, plus the
+/// file-level facts. `source` is the raw (unmasked) text — ack lines live
+/// inside string literals, which the lexer masks to spaces.
+pub fn summarize(file: &ScannedFile, source: &str, config: &Config) -> ParsedFile {
+    let mut parsed = parse_with(file, Some(config));
+    dataflow::file_facts(&mut parsed);
+    effects::file_facts(&mut parsed, file, source);
+    parsed
+}
+
+/// The one walk over a file's tokens: tokenize and brace-match once, then
+/// parse the items, extracting each fn's facts when a `config` is given.
+fn parse_with(file: &ScannedFile, config: Option<&Config>) -> ParsedFile {
     let toks = tokenize(file);
     let close = match_braces(&toks);
+    let walk = Walk {
+        toks: &toks,
+        close: &close,
+        config,
+    };
     let mut fns = Vec::new();
     let mut structs = Vec::new();
-    parse_items(&toks, &close, 0, toks.len(), None, &mut fns, &mut structs);
+    parse_items(&walk, 0, toks.len(), None, &mut fns, &mut structs);
     fns.sort_by_key(|f| f.line);
     structs.sort_by_key(|s| s.line);
-    ParsedFile { fns, structs }
+    ParsedFile {
+        toks,
+        fns,
+        structs,
+        ..ParsedFile::default()
+    }
+}
+
+/// What the item walk reads: one file's tokens, their brace matching, and
+/// the config when fn facts are extracted alongside the structure.
+struct Walk<'a> {
+    toks: &'a [Tok],
+    close: &'a [usize],
+    config: Option<&'a Config>,
+}
+
+/// The tokens one `fn` owns: its body with nested `fn` items carved out.
+pub(crate) struct FnBody<'a> {
+    /// The file's token stream.
+    pub toks: &'a [Tok],
+    /// Matching-`}` index per token (see `match_braces`).
+    pub close: &'a [usize],
+    /// The owned token indices, in order.
+    pub own: &'a [usize],
+    /// Index of the body's opening `{`.
+    pub open: usize,
+}
+
+/// Fills `f`'s dataflow and effect facts in one walk over its own tokens.
+fn extract(f: &mut FnSummary, body: &FnBody, config: &Config) {
+    let mut lets = Vec::new();
+    for pos in 0..body.own.len() {
+        dataflow::scan_token(f, body, pos, config, &mut lets);
+        effects::scan_token(f, body, pos, config);
+    }
+    dataflow::resolve_unused(f, body, lets);
 }
 
 /// Parses item-level constructs in `toks[i..end]` under `qualifier`.
 fn parse_items(
-    toks: &[Tok],
-    close: &[usize],
+    walk: &Walk,
     mut i: usize,
     end: usize,
     qualifier: Option<&str>,
-    fns: &mut Vec<FnItem>,
+    fns: &mut Vec<FnSummary>,
     structs: &mut Vec<StructItem>,
 ) {
+    let (toks, close) = (walk.toks, walk.close);
     while i < end {
         match word_at(toks, i) {
             Some("impl") | Some("trait") => {
@@ -260,25 +402,21 @@ fn parse_items(
                     impl_target(&toks[i + 1..open])
                 };
                 let body_end = close[open].min(end);
-                parse_items(toks, close, open + 1, body_end, q.as_deref(), fns, structs);
+                parse_items(walk, open + 1, body_end, q.as_deref(), fns, structs);
                 i = body_end + 1;
             }
             Some("mod") => {
-                // `mod name { ... }` — recurse; `mod name;` — skip.
+                // `mod name;` — skip; `mod name { ... }` — items in an
+                // inline module are parsed in place (modules cannot appear
+                // inside impl blocks, so no qualifier).
                 let Some(open) = find_block_open(toks, i + 1, end) else {
                     i = end;
                     continue;
                 };
-                if punct_at(toks, open) == Some(';') {
-                    i = open + 1;
-                } else {
-                    // Items in an inline module are parsed in place; modules
-                    // cannot appear inside impl blocks, so no qualifier.
-                    i = open + 1;
-                }
+                i = open + 1;
             }
             Some("fn") => {
-                i = parse_fn(toks, close, i, end, qualifier, fns);
+                i = parse_fn(walk, i, end, qualifier, fns);
             }
             Some("struct") | Some("enum") | Some("union") => {
                 let is_struct = word_at(toks, i) == Some("struct");
@@ -461,22 +599,27 @@ fn parse_struct_fields(toks: &[Tok], from: usize, end: usize) -> Vec<FieldItem> 
     fields
 }
 
-/// Parses one `fn` item starting at the `fn` keyword (`toks[i]`). Returns
-/// the index just past the item.
+/// Parses one `fn` item starting at the `fn` keyword (`toks[i]`),
+/// extracting its facts when the walk carries a config. Returns the index
+/// just past the item.
 fn parse_fn(
-    toks: &[Tok],
-    close: &[usize],
+    walk: &Walk,
     i: usize,
     end: usize,
     qualifier: Option<&str>,
-    fns: &mut Vec<FnItem>,
+    fns: &mut Vec<FnSummary>,
 ) -> usize {
+    let (toks, close) = (walk.toks, walk.close);
     let Some(name) = word_at(toks, i + 1) else {
         return i + 1;
     };
-    let name = name.to_string();
-    let line = toks[i].line;
-    let is_pub = fn_is_pub(toks, i);
+    let mut item = FnSummary {
+        name: name.to_string(),
+        qualifier: qualifier.map(str::to_string),
+        is_pub: fn_is_pub(toks, i),
+        line: toks[i].line,
+        ..FnSummary::default()
+    };
 
     // The body `{` (or `;` for bodyless trait methods) sits at paren depth 0
     // after the signature; generics and where-clauses carry no braces.
@@ -491,15 +634,7 @@ fn parse_fn(
                 break;
             }
             Some(';') if depth <= 0 => {
-                fns.push(FnItem {
-                    name,
-                    qualifier: qualifier.map(str::to_string),
-                    is_pub,
-                    line,
-                    body: None,
-                    loops: Vec::new(),
-                    calls: Vec::new(),
-                });
+                fns.push(item);
                 return k + 1;
             }
             _ => {}
@@ -509,24 +644,33 @@ fn parse_fn(
         return end;
     };
     let body_close = close[open].min(end);
-    let body = Span {
+    item.body = Some(Span {
         start: toks[open].line,
         end: toks
             .get(body_close)
             .or_else(|| toks.last())
             .map_or(toks[open].line, |t| t.line),
-    };
-
-    let mut item = FnItem {
-        name,
-        qualifier: qualifier.map(str::to_string),
-        is_pub,
-        line,
-        body: Some(body),
-        loops: Vec::new(),
-        calls: Vec::new(),
-    };
-    parse_body(toks, close, open + 1, body_close, qualifier, &mut item, fns);
+    });
+    item.returns_result = returns_result(toks, i, open);
+    let mut own = Vec::new();
+    parse_body(
+        walk,
+        open + 1,
+        body_close,
+        qualifier,
+        &mut item,
+        &mut own,
+        fns,
+    );
+    if let Some(config) = walk.config {
+        let body = FnBody {
+            toks,
+            close,
+            own: &own,
+            open,
+        };
+        extract(&mut item, &body, config);
+    }
     fns.push(item);
     body_close + 1
 }
@@ -549,25 +693,28 @@ fn fn_is_pub(toks: &[Tok], fn_idx: usize) -> bool {
     false
 }
 
-/// Scans a function body for loops, calls, and nested `fn` items. Nested
-/// `fn`s become separate [`FnItem`]s and their tokens are not attributed to
-/// the enclosing function; closures are attributed to the enclosing `fn`.
+/// Scans a function body for loops, calls, and nested `fn` items, and
+/// records the tokens the function owns in `own`. Nested `fn`s become
+/// separate [`FnSummary`]s and their tokens are carved out of `own`;
+/// closures are attributed to the enclosing `fn`.
 fn parse_body(
-    toks: &[Tok],
-    close: &[usize],
+    walk: &Walk,
     from: usize,
     end: usize,
     qualifier: Option<&str>,
-    item: &mut FnItem,
-    fns: &mut Vec<FnItem>,
+    item: &mut FnSummary,
+    own: &mut Vec<usize>,
+    fns: &mut Vec<FnSummary>,
 ) {
+    let (toks, close) = (walk.toks, walk.close);
     let mut k = from;
     while k < end {
+        if word_at(toks, k) == Some("fn") && word_at(toks, k + 1).is_some() {
+            k = parse_fn(walk, k, end, None, fns);
+            continue;
+        }
+        own.push(k);
         match word_at(toks, k) {
-            Some("fn") => {
-                k = parse_fn(toks, close, k, end, None, fns);
-                continue;
-            }
             Some(kw @ "loop") | Some(kw @ "while") | Some(kw @ "for") => {
                 // `for<'a>` higher-ranked bounds are not loops.
                 if kw == "for" && punct_at(toks, k + 1) == Some('<') {
@@ -677,6 +824,26 @@ fn classify_call(toks: &[Tok], k: usize, w: &str, qualifier: Option<&str>) -> Op
         });
     }
     None
+}
+
+/// Whether the signature tokens in `toks[kw..open]` declare a `Result`
+/// return type (a `Result` word after the `->` arrow).
+fn returns_result(toks: &[Tok], kw: usize, open: usize) -> bool {
+    let mut depth = 0i64;
+    let mut arrow = None;
+    for k in kw..open {
+        match punct_at(toks, k) {
+            Some('(') | Some('[') => depth += 1,
+            Some(')') | Some(']') => depth -= 1,
+            Some('-') if depth == 0 && punct_at(toks, k + 1) == Some('>') => {
+                arrow = Some(k + 2);
+                break;
+            }
+            _ => {}
+        }
+    }
+    let Some(from) = arrow else { return false };
+    (from..open).any(|k| word_at(toks, k) == Some("Result"))
 }
 
 #[cfg(test)]

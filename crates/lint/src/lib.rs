@@ -45,10 +45,11 @@
 //!   `CHECKPOINT_PAYLOAD_VERSION` bump fails the gate, and
 //!   `lb-lint --write-baseline` re-pins intentionally.
 //!
-//! A **dataflow layer** ([`dataflow`]) walks each `fn` body's masked token
-//! stream, building def-use chains for collection bindings and `Result`
-//! values; per-function summaries propagate over the same call graph and
-//! drive three more rules:
+//! The item parser summarizes each `fn` once: alongside its loops and
+//! calls, one walk over the tokens the item owns extracts **dataflow**
+//! facts ([`dataflow`]: collection bindings, growth sites, `Result`
+//! discards) and **effect** facts ([`effects`]). The remaining rules are
+//! queries over those summaries and the same call graph:
 //!
 //! * **R11 `unbounded-growth`** — a loop-carried collection mutation
 //!   (`push`/`insert`/`extend`/`push_back` whose receiver outlives the
@@ -65,12 +66,10 @@
 //! `lb-lint dataflow` dumps the full fact base deterministically and floors
 //! per-crate coverage, mirroring `SemanticStats::dataflow`.
 //!
-//! An **effects layer** ([`effects`]) extracts per-function effect
-//! summaries for the serve crate — lock acquisitions with held regions,
-//! blocking I/O, durability writes, ack/requeue sites, timeout guards —
-//! and propagates them over the same call graph to enforce the
-//! concurrency and durability discipline the lb-serve soak tests probe
-//! dynamically:
+//! The effect facts for the serve crate — lock acquisitions with held
+//! regions, blocking I/O, durability writes, ack/requeue sites, timeout
+//! guards — propagate over the call graph to enforce the concurrency and
+//! durability discipline the lb-serve soak tests probe dynamically:
 //!
 //! * **R14 `lock-discipline`** — the global lock-order graph stays
 //!   acyclic, no lock is held across blocking I/O or fsync, and
@@ -115,6 +114,7 @@ pub use report::{clean_summary, exit_code, render_json, render_text};
 pub use rules::{lint_source, CheckpointSpec, Config, FileKind, Rule, Violation};
 pub use semantic::{CrateDataflow, SemanticStats};
 
+use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 
@@ -161,32 +161,33 @@ pub fn analyze_workspace(root: &Path, config: &Config) -> io::Result<Analysis> {
     })
 }
 
-/// Lints every `.rs` file under `root`. Returns all violations plus the
-/// number of files checked. (Compatibility wrapper over
-/// [`analyze_workspace`].)
-pub fn lint_workspace(root: &Path, config: &Config) -> io::Result<(Vec<Violation>, usize)> {
-    let a = analyze_workspace(root, config)?;
-    Ok((a.violations, a.files_checked))
-}
-
 /// Dumps the workspace call graph (deterministic text, for `lb-lint graph`).
 pub fn graph_dump_workspace(root: &Path, config: &Config) -> io::Result<String> {
     let files = read_workspace(root)?;
     Ok(semantic::graph_dump(&files, config))
 }
 
-/// Dumps the per-function dataflow summaries (deterministic text, for
-/// `lb-lint dataflow`).
-pub fn dataflow_dump_workspace(root: &Path, config: &Config) -> io::Result<String> {
+/// Dumps the per-function dataflow facts (deterministic text, for
+/// `lb-lint dataflow`), with the per-crate coverage its floors check.
+pub fn dataflow_dump_workspace(
+    root: &Path,
+    config: &Config,
+) -> io::Result<(String, BTreeMap<String, CrateDataflow>)> {
     let files = read_workspace(root)?;
-    Ok(semantic::dataflow_dump(&files, config))
+    let ws = semantic::Workspace::build(&files, config);
+    Ok((ws.dataflow_dump(), ws.dataflow_coverage()))
 }
 
-/// Dumps the per-function effect summaries and lock-order edges
-/// (deterministic text, for `lb-lint effects`).
-pub fn effects_dump_workspace(root: &Path, config: &Config) -> io::Result<String> {
+/// Dumps the per-function effect facts and lock-order edges
+/// (deterministic text, for `lb-lint effects`), with the per-crate
+/// coverage its floors check.
+pub fn effects_dump_workspace(
+    root: &Path,
+    config: &Config,
+) -> io::Result<(String, BTreeMap<String, CrateEffects>)> {
     let files = read_workspace(root)?;
-    Ok(semantic::effects_dump(&files, config))
+    let ws = semantic::Workspace::build(&files, config);
+    Ok((ws.effects_dump(), ws.effect_coverage()))
 }
 
 /// Recomputes and writes the R10 checkpoint-schema baseline under `root`,
@@ -214,14 +215,13 @@ mod tests {
     }
 
     #[test]
-    fn lint_workspace_runs() {
-        let (_, files) = lint_workspace(default_workspace_root(), &Config::default()).unwrap();
-        assert!(files > 50, "expected a real workspace, saw {files} files");
-    }
-
-    #[test]
     fn analysis_reports_semantic_coverage() {
         let a = analyze_workspace(default_workspace_root(), &Config::default()).unwrap();
+        assert!(
+            a.files_checked > 50,
+            "expected a real workspace, saw {} files",
+            a.files_checked
+        );
         assert!(
             !a.stats.root_names.is_empty(),
             "semantic layer found no entry-point roots"

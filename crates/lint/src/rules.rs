@@ -465,7 +465,10 @@ impl Default for Config {
             ],
             accept_roots: vec![
                 ("crates/serve/src/server.rs".into(), "run".into()),
-                ("crates/serve/src/server.rs".into(), "handle_connection".into()),
+                (
+                    "crates/serve/src/server.rs".into(),
+                    "handle_connection".into(),
+                ),
             ],
             blessed_recovery_paths: vec!["crates/serve/src/sync.rs".into()],
         }

@@ -1,10 +1,14 @@
-//! The call-graph semantic rules R8–R10 and the R10 baseline workflow.
+//! The workspace analysis behind the semantic rules R8–R16, the call-graph
+//! rules R8–R10 and the R10 baseline workflow.
 //!
 //! Unlike the token-level rules in [`crate::rules`], these passes see the
-//! whole workspace at once: they parse every library file into `fn` items
-//! ([`crate::items`]), build a name-resolved call graph ([`crate::graph`]),
-//! and check three invariants that PRs 2–4 previously enforced only
-//! dynamically (via lb-chaos fuzzing and property tests):
+//! whole workspace at once. [`Workspace::build`] scans every library file
+//! once, summarizes each `fn` item in one pass ([`crate::items::summarize`])
+//! and builds a name-resolved call graph over the summaries
+//! ([`crate::graph`]); every rule below, and each `lb-lint` dump, is a
+//! query over that one analysis. The call-graph rules check three
+//! invariants that lb-chaos fuzzing and property tests otherwise probe only
+//! dynamically:
 //!
 //! * **R8 `unbudgeted-loop`** — every `loop`/`while`/`for` in the solver
 //!   crates that is transitively reachable from a public entry point must
@@ -21,8 +25,7 @@
 //!   baseline unless the family's payload-version const was bumped; either
 //!   way the baseline is re-pinned with `lb-lint --write-baseline`.
 //!
-//! PR 6 adds the dataflow rules on top of the same graph, fed by the
-//! per-function summaries from [`crate::dataflow`]:
+//! The dataflow rules query the same summaries' [`crate::dataflow`] facts:
 //!
 //! * **R11 `unbounded-growth`** — a loop-carried collection mutation in a
 //!   budget-reachable solver loop must be charged to
@@ -34,11 +37,13 @@
 //! * **R13 `send-hostile-state`** — no `Rc`/`RefCell`/`Cell`/raw-pointer
 //!   fields or `thread_local!` state in the checkpoint-serializable solver
 //!   state files (and the engine), so frames stay `Send` by construction.
+//!
+//! The effect rules R14–R16 live in [`crate::effects`].
 
-use crate::dataflow::{self, FileFlow};
-use crate::effects::{self, CrateEffects, FileEffects};
+use crate::dataflow::UnusedResultCandidate;
+use crate::effects::{self, CrateEffects};
 use crate::graph::CallGraph;
-use crate::items::{self, ParsedFile, Span};
+use crate::items::{self, FnSummary, ParsedFile, Span, TokKind};
 use crate::lexer::{scan, ScannedFile};
 use crate::rules::{
     contains_token, parse_allows, snippet_at, unchecked_index_in, Allows, CheckpointSpec, Config,
@@ -84,24 +89,249 @@ pub struct CrateDataflow {
 }
 
 /// The crate name under `crates/`, if any (`crates/sat/src/x.rs` → `sat`).
-fn crate_of(rel: &str) -> Option<&str> {
-    rel.strip_prefix("crates/")?.split('/').next()
+fn crate_of(rel: &str) -> &str {
+    rel.strip_prefix("crates/")
+        .and_then(|r| r.split('/').next())
+        .unwrap_or("workspace")
 }
 
-/// One file prepared for semantic analysis.
-struct SemFile {
-    rel: String,
-    source: String,
-    scanned: ScannedFile,
-    allows: Allows,
-    parsed: ParsedFile,
-}
-
-fn path_matches(rel: &str, pats: &[String]) -> bool {
+pub(crate) fn path_matches(rel: &str, pats: &[String]) -> bool {
     pats.iter().any(|p| rel.contains(p.as_str()))
 }
 
-/// Runs R8–R10 over the walked workspace files. `files` holds
+/// Whether `rel` is in the effect scope of R14–R16: the effect paths minus
+/// the blessed recovery module, whose whole point is to contain the
+/// recovery idiom.
+pub(crate) fn in_effect_scope(rel: &str, config: &Config) -> bool {
+    path_matches(rel, &config.effect_paths) && !path_matches(rel, &config.blessed_recovery_paths)
+}
+
+fn collection_bindings(f: &FnSummary) -> usize {
+    f.bindings.iter().filter(|b| b.is_collection).count()
+}
+
+/// One library file's text, masked scan and allow directives; parallel to
+/// the call graph's parsed files.
+struct SemFile<'a> {
+    source: &'a str,
+    scanned: ScannedFile,
+    allows: Allows,
+}
+
+/// The one workspace analysis that `check`, the three dumps and the R10
+/// baseline all read: every library file scanned and summarized once, and
+/// the call graph whose node ids index those summaries.
+pub(crate) struct Workspace<'a> {
+    config: &'a Config,
+    files: Vec<SemFile<'a>>,
+    graph: CallGraph,
+}
+
+impl<'a> Workspace<'a> {
+    /// Builds the analysis over the library files of `files`, which holds
+    /// `(workspace-relative path, source)` pairs in sorted path order;
+    /// excluded paths and non-library file kinds are skipped.
+    pub(crate) fn build(files: &'a [(String, String)], config: &'a Config) -> Self {
+        let mut sem = Vec::new();
+        let mut parsed = Vec::new();
+        for (rel, source) in files {
+            if FileKind::classify(rel) != FileKind::Library
+                || path_matches(rel, &config.semantic_exclude_paths)
+            {
+                continue;
+            }
+            let scanned = scan(source);
+            parsed.push((rel.clone(), items::summarize(&scanned, source, config)));
+            sem.push(SemFile {
+                source,
+                allows: parse_allows(&scanned),
+                scanned,
+            });
+        }
+        Workspace {
+            config,
+            files: sem,
+            graph: CallGraph::build(parsed),
+        }
+    }
+
+    /// File indices in path order: the dumps are artifacts diffed across
+    /// CI runs, so they are keyed by path, independent of input order.
+    fn by_path(&self) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..self.files.len()).collect();
+        order.sort_by_key(|&fi| &self.graph.files[fi].0);
+        order
+    }
+
+    /// Each library file's path, summaries, and scan, in input order.
+    fn files(&self) -> impl Iterator<Item = (&str, &ParsedFile, &SemFile<'a>)> {
+        self.graph
+            .files
+            .iter()
+            .zip(&self.files)
+            .map(|((rel, p), f)| (rel.as_str(), p, f))
+    }
+
+    /// Per-crate dataflow coverage (R11–R13).
+    pub(crate) fn dataflow_coverage(&self) -> BTreeMap<String, CrateDataflow> {
+        let mut per_crate: BTreeMap<String, CrateDataflow> = BTreeMap::new();
+        for (rel, p) in &self.graph.files {
+            let df = per_crate.entry(crate_of(rel).to_string()).or_default();
+            if path_matches(rel, &self.config.state_struct_paths) {
+                df.state_structs += p.structs.len();
+            }
+            for f in &p.fns {
+                df.collection_bindings += collection_bindings(f);
+                df.result_sites += usize::from(f.returns_result)
+                    + f.wildcard_lets.len()
+                    + f.ok_discards.len()
+                    + f.unused_candidates.len();
+            }
+        }
+        per_crate
+    }
+
+    /// Per-crate effect coverage (R14–R16); files outside the effect scope
+    /// contribute zero.
+    pub(crate) fn effect_coverage(&self) -> BTreeMap<String, CrateEffects> {
+        let mut per_crate: BTreeMap<String, CrateEffects> = BTreeMap::new();
+        for (rel, p) in &self.graph.files {
+            let agg = per_crate.entry(crate_of(rel).to_string()).or_default();
+            if in_effect_scope(rel, self.config) {
+                p.fns.iter().for_each(|f| agg.add(f));
+            }
+        }
+        per_crate
+    }
+
+    /// Deterministic dump of the per-function dataflow facts (for
+    /// `lb-lint dataflow`): one block per bodied function in (file, line)
+    /// order, then the struct/thread-local findings and a per-crate
+    /// coverage footer.
+    pub(crate) fn dataflow_dump(&self) -> String {
+        let mut out = String::new();
+        for fi in self.by_path() {
+            let (rel, p) = &self.graph.files[fi];
+            for ff in p.fns.iter().filter(|f| f.body.is_some()) {
+                out.push_str(&format!(
+                    "fn {rel}:{} {} result={} charges={} bindings={}/{}\n",
+                    ff.line,
+                    ff.display_name(),
+                    ff.returns_result,
+                    ff.charge_lines.len(),
+                    collection_bindings(ff),
+                    ff.bindings.len(),
+                ));
+                for g in &ff.grows {
+                    out.push_str(&format!(
+                        "  grow {}.{} at {} carried={} loop={}\n",
+                        g.receiver,
+                        g.method,
+                        g.line,
+                        g.carried,
+                        g.loop_line.map_or("-".to_string(), |l| l.to_string()),
+                    ));
+                }
+                for &l in &ff.wildcard_lets {
+                    out.push_str(&format!("  discard wildcard-let at {l}\n"));
+                }
+                for &l in &ff.ok_discards {
+                    out.push_str(&format!("  discard ok at {l}\n"));
+                }
+                for c in ff.unused_candidates.iter().filter(|c| !c.used_later) {
+                    out.push_str(&format!(
+                        "  discard unused `{}` = {}(..) at {}\n",
+                        c.name, c.callee, c.line
+                    ));
+                }
+            }
+            for h in &p.hostile_fields {
+                out.push_str(&format!(
+                    "hostile {rel}:{} {}.{} {}\n",
+                    h.line, h.struct_name, h.field, h.marker
+                ));
+            }
+            for &l in &p.thread_local_lines {
+                out.push_str(&format!("thread-local {rel}:{l}\n"));
+            }
+        }
+        for (name, df) in &self.dataflow_coverage() {
+            out.push_str(&format!(
+                "crate {name} collection_bindings={} result_sites={} state_structs={}\n",
+                df.collection_bindings, df.result_sites, df.state_structs
+            ));
+        }
+        out
+    }
+
+    /// Deterministic dump of the per-function effect facts in the effect
+    /// scope (for `lb-lint effects`): one block per effectful function in
+    /// (file, line) order, the poisoned-lock recovery sites, the global
+    /// lock-order edges, and a per-crate coverage footer.
+    pub(crate) fn effects_dump(&self) -> String {
+        let (_, order) = effects::check(
+            &self.graph,
+            self.config,
+            &|_: &str, _: usize, _: Rule| false,
+            &|_: &str, _: usize| String::new(),
+        );
+        let mut out = String::new();
+        for fi in self.by_path() {
+            let (rel, p) = &self.graph.files[fi];
+            if !in_effect_scope(rel, self.config) {
+                continue;
+            }
+            for fx in p.fns.iter().filter(|f| f.has_effects()) {
+                out.push_str(&format!("fn {rel}:{} {}\n", fx.line, fx.display_name()));
+                for l in &fx.locks {
+                    out.push_str(&format!(
+                        "  lock {} at {}..{} bound={}\n",
+                        l.name, l.line, l.end_line, l.bound
+                    ));
+                }
+                for s in &fx.blocking {
+                    out.push_str(&format!("  blocking {} at {}\n", s.what, s.line));
+                }
+                for s in &fx.durable {
+                    out.push_str(&format!("  durable {} at {}\n", s.what, s.line));
+                }
+                for s in &fx.guards {
+                    out.push_str(&format!("  guard {} at {}\n", s.what, s.line));
+                }
+                for &l in &fx.acks {
+                    out.push_str(&format!("  ack at {l}\n"));
+                }
+                for s in &fx.requeues {
+                    out.push_str(&format!("  requeue {} at {}\n", s.what, s.line));
+                }
+            }
+            for &l in &p.recovery_lines {
+                out.push_str(&format!("recovery {rel}:{l}\n"));
+            }
+        }
+        for e in &order {
+            out.push_str(&format!(
+                "order {} -> {} at {}:{}\n",
+                e.from, e.to, e.file, e.line
+            ));
+        }
+        for (name, ce) in &self.effect_coverage() {
+            out.push_str(&format!(
+                "crate {name} lock_sites={} durability_sites={} blocking_sites={} \
+                 guard_sites={} ack_sites={} requeue_sites={}\n",
+                ce.lock_sites,
+                ce.durability_sites,
+                ce.blocking_sites,
+                ce.guard_sites,
+                ce.ack_sites,
+                ce.requeue_sites
+            ));
+        }
+        out
+    }
+}
+
+/// Runs R8–R16 over the walked workspace files. `files` holds
 /// `(workspace-relative path, source)` pairs in sorted path order; `root`
 /// is only used to read the R10 baseline file.
 pub fn check(
@@ -109,16 +339,10 @@ pub fn check(
     files: &[(String, String)],
     config: &Config,
 ) -> (Vec<Violation>, SemanticStats) {
-    let sem_files = prepare(files, config);
-    let graph = build_graph(&sem_files);
-    let allows: HashMap<&str, &Allows> = sem_files
-        .iter()
-        .map(|f| (f.rel.as_str(), &f.allows))
-        .collect();
-    let sources: HashMap<&str, &str> = sem_files
-        .iter()
-        .map(|f| (f.rel.as_str(), f.source.as_str()))
-        .collect();
+    let ws = Workspace::build(files, config);
+    let graph = &ws.graph;
+    let allows: HashMap<&str, &Allows> = ws.files().map(|(rel, _, f)| (rel, &f.allows)).collect();
+    let sources: HashMap<&str, &str> = ws.files().map(|(rel, _, f)| (rel, f.source)).collect();
     let allowed = |file: &str, line: usize, rule: Rule| {
         allows.get(file).is_some_and(|a| a.allowed(line, rule))
     };
@@ -144,18 +368,15 @@ pub fn check(
                 .any(|s| name.ends_with(s.as_str()))
             || config.root_exact.iter().any(|e| e == name)
     };
-    let roots: Vec<usize> = graph
-        .nodes
-        .iter()
-        .enumerate()
-        .filter(|(_, n)| {
-            n.is_pub && path_matches(&n.file, &config.api_root_paths) && is_root_name(&n.name)
+    let roots: Vec<usize> = (0..graph.nodes.len())
+        .filter(|&id| {
+            let (file, n) = graph.node(id);
+            n.is_pub && path_matches(file, &config.api_root_paths) && is_root_name(&n.name)
         })
-        .map(|(id, _)| id)
         .collect();
     let mut root_names: Vec<String> = roots
         .iter()
-        .map(|&id| graph.nodes[id].display_name())
+        .map(|&id| graph.node(id).1.display_name())
         .collect();
     root_names.sort();
     root_names.dedup();
@@ -163,7 +384,7 @@ pub fn check(
 
     // ---- Charge lines per file (direct Ticker charge calls). ----
     let mut charge_lines: HashMap<&str, HashSet<usize>> = HashMap::new();
-    for f in &sem_files {
+    for (rel, _, f) in ws.files() {
         let set: HashSet<usize> = f
             .scanned
             .lines
@@ -173,7 +394,7 @@ pub fn check(
             .map(|(idx, _)| idx + 1)
             .collect();
         if !set.is_empty() {
-            charge_lines.insert(f.rel.as_str(), set);
+            charge_lines.insert(rel, set);
         }
     }
     let charging =
@@ -182,17 +403,18 @@ pub fn check(
     // ---- R8: reachable loops in solver paths must charge the budget. ----
     let parents_all = graph.reachable(&roots, |_, _| false);
     stats.reachable_fns = parents_all.iter().filter(|p| p.is_some()).count();
-    for (id, node) in graph.nodes.iter().enumerate() {
-        if parents_all[id].is_none() || !path_matches(&node.file, &config.solver_loop_paths) {
+    for id in 0..graph.nodes.len() {
+        let (file, node) = graph.node(id);
+        if parents_all[id].is_none() || !path_matches(file, &config.solver_loop_paths) {
             continue;
         }
         for lp in &node.loops {
             stats.loops_checked += 1;
-            if allowed(&node.file, lp.line, Rule::UnbudgetedLoop) {
+            if allowed(file, lp.line, Rule::UnbudgetedLoop) {
                 continue;
             }
             let direct = charge_lines
-                .get(node.file.as_str())
+                .get(file)
                 .is_some_and(|s| (lp.body.start..=lp.body.end).any(|l| s.contains(&l)));
             let via_call = graph.edges[id]
                 .iter()
@@ -201,7 +423,7 @@ pub fn check(
                 let chain = graph.chain_to(&parents_all, id);
                 out.push(Violation {
                     rule: Rule::UnbudgetedLoop,
-                    path: node.file.clone(),
+                    path: file.to_string(),
                     line: lp.line,
                     message: format!(
                         "`{}` loop in `{}` (reachable via {chain}) never charges the budget: \
@@ -211,7 +433,7 @@ pub fn check(
                         lp.kind,
                         node.display_name()
                     ),
-                    snippet: snippet(&node.file, lp.line),
+                    snippet: snippet(file, lp.line),
                 });
             }
         }
@@ -222,8 +444,8 @@ pub fn check(
     // indexing in the R7 hot-path files. An `allow(panic-reachability)` on
     // the site line discharges the site; on a call line it cuts the edges.
     let mut sites: Vec<(usize, usize, &'static str)> = Vec::new(); // (file idx, line, what)
-    for (fi, f) in sem_files.iter().enumerate() {
-        let indexed = path_matches(&f.rel, &config.index_checked_paths);
+    for (fi, (rel, _, f)) in ws.files().enumerate() {
+        let indexed = path_matches(rel, &config.index_checked_paths);
         for (idx, line) in f.scanned.lines.iter().enumerate() {
             if line.in_test {
                 continue;
@@ -247,38 +469,25 @@ pub fn check(
     }
     stats.panic_sites = sites.len();
     let parents_cut = graph.reachable(&roots, |caller, line| {
-        allowed(&caller.file, line, Rule::PanicReachability)
+        allowed(graph.node(caller).0, line, Rule::PanicReachability)
     });
-    // Innermost-fn attribution: per file, the node ids with bodies.
-    let mut file_nodes: HashMap<&str, Vec<(Span, usize)>> = HashMap::new();
-    for (id, n) in graph.nodes.iter().enumerate() {
-        if let Some(body) = n.body {
-            file_nodes
-                .entry(n.file.as_str())
-                .or_default()
-                .push((body, id));
-        }
-    }
     for (fi, lineno, what) in sites {
-        let f = &sem_files[fi];
-        if allowed(&f.rel, lineno, Rule::PanicReachability) {
+        let (rel, parsed) = &graph.files[fi];
+        if allowed(rel, lineno, Rule::PanicReachability) {
             continue;
         }
-        let Some(&(_, id)) = file_nodes.get(f.rel.as_str()).and_then(|spans| {
-            spans
-                .iter()
-                .filter(|(s, _)| s.contains(lineno))
-                .min_by_key(|(s, _)| s.len())
-        }) else {
+        // Innermost-fn attribution.
+        let Some(k) = parsed.innermost_fn(lineno) else {
             continue; // Site outside any fn body (const/static init).
         };
+        let id = graph.node_id(fi, k);
         if parents_cut[id].is_none() {
             continue;
         }
         let chain = graph.chain_to(&parents_cut, id);
         out.push(Violation {
             rule: Rule::PanicReachability,
-            path: f.rel.clone(),
+            path: rel.clone(),
             line: lineno,
             message: format!(
                 "{what} is reachable from the panic-free public API (via {chain}); \
@@ -286,50 +495,39 @@ pub fn check(
                  `// lb-lint: allow(panic-reachability) -- reason` on this line \
                  (or on a call line along the chain to cut that edge)"
             ),
-            snippet: snippet(&f.rel, lineno),
+            snippet: snippet(rel, lineno),
         });
     }
 
     // ---- R10: checkpoint schema fingerprints vs the committed baseline. ----
-    let (r10, families) = check_schema_drift(root, &sem_files, config, &allowed, &snippet);
+    let (r10, families) = check_schema_drift(&ws, root, &allowed, &snippet);
     stats.families_checked = families;
     out.extend(r10);
 
-    // ---- R11–R13: per-function dataflow + summary propagation. ----
-    let flows: Vec<FileFlow> = sem_files
-        .iter()
-        .map(|f| dataflow::analyze(&f.scanned, &f.parsed, config))
-        .collect();
-
+    // ---- R11–R13: queries over the per-function dataflow facts. ----
     // Functions that charge `max_intermediate`, closed over callers.
     let mut icharge_lines: HashMap<&str, HashSet<usize>> = HashMap::new();
-    for (fi, f) in sem_files.iter().enumerate() {
-        let set: HashSet<usize> = flows[fi]
+    for (rel, p) in &graph.files {
+        let set: HashSet<usize> = p
             .fns
             .iter()
             .flat_map(|ff| ff.charge_lines.iter().copied())
             .collect();
         if !set.is_empty() {
-            icharge_lines.insert(f.rel.as_str(), set);
+            icharge_lines.insert(rel.as_str(), set);
         }
     }
     let icharging =
         graph.charging_set(|file, line| icharge_lines.get(file).is_some_and(|s| s.contains(&line)));
 
-    // Node lookup for dataflow summaries: (file, fn line, name) → node id.
-    let mut node_at: HashMap<(&str, usize, &str), usize> = HashMap::new();
-    for (id, n) in graph.nodes.iter().enumerate() {
-        node_at.insert((n.file.as_str(), n.line, n.name.as_str()), id);
-    }
-
-    // Workspace `Result`-returning fn names, bucketed like graph
-    // resolution (free / method / type-qualified).
+    // Workspace `Result`-returning names of bodied fns, bucketed like
+    // graph resolution (free / method / type-qualified).
     let mut free_result: HashSet<&str> = HashSet::new();
     let mut method_result: HashSet<&str> = HashSet::new();
     let mut qual_result: HashSet<(&str, &str)> = HashSet::new();
     let mut qualifiers: HashSet<&str> = HashSet::new();
-    for flow in &flows {
-        for ff in &flow.fns {
+    for (_, p) in &graph.files {
+        for ff in p.fns.iter().filter(|f| f.body.is_some()) {
             match &ff.qualifier {
                 Some(q) => {
                     qualifiers.insert(q.as_str());
@@ -346,7 +544,7 @@ pub fn check(
             }
         }
     }
-    let callee_returns_result = |c: &dataflow::UnusedResultCandidate| {
+    let callee_returns_result = |c: &UnusedResultCandidate| {
         if c.is_method {
             return method_result.contains(c.callee.as_str());
         }
@@ -362,31 +560,12 @@ pub fn check(
         }
     };
 
-    for (fi, f) in sem_files.iter().enumerate() {
-        let flow = &flows[fi];
-        let rel = f.rel.as_str();
-        let df = stats
-            .dataflow
-            .entry(crate_of(rel).unwrap_or("workspace").to_string())
-            .or_default();
-        let in_state_paths = path_matches(rel, &config.state_struct_paths);
-        if in_state_paths {
-            df.state_structs += flow.structs;
-        }
-        for ff in &flow.fns {
-            df.collection_bindings += ff.bindings.iter().filter(|b| b.is_collection).count();
-            df.result_sites += usize::from(ff.returns_result)
-                + ff.wildcard_lets.len()
-                + ff.ok_discards.len()
-                + ff.unused_candidates.len();
-        }
-
+    for (fi, (rel, flow)) in graph.files.iter().enumerate() {
+        let rel = rel.as_str();
         // R11: loop-carried growth in budget-reachable solver loops.
         if path_matches(rel, &config.solver_loop_paths) {
-            for ff in &flow.fns {
-                let Some(&id) = node_at.get(&(rel, ff.line, ff.name.as_str())) else {
-                    continue;
-                };
+            for (k, ff) in flow.fns.iter().enumerate() {
+                let id = graph.node_id(fi, k);
                 if parents_all[id].is_none() {
                     continue;
                 }
@@ -481,7 +660,7 @@ pub fn check(
         }
 
         // R13: Send-hostile state in checkpoint-serializable solver files.
-        if in_state_paths {
+        if path_matches(rel, &config.state_struct_paths) {
             for h in &flow.hostile_fields {
                 if allowed(rel, h.line, Rule::SendHostileState) {
                     continue;
@@ -518,231 +697,31 @@ pub fn check(
         }
     }
 
-    // ---- R14–R16: effect summaries + interprocedural propagation. ----
-    let file_effects = effect_summaries(&sem_files, config);
-    let rels: Vec<String> = sem_files.iter().map(|f| f.rel.clone()).collect();
-    for (fi, fe) in file_effects.iter().enumerate() {
-        let agg = stats
-            .effects
-            .entry(crate_of(&rels[fi]).unwrap_or("workspace").to_string())
-            .or_default();
-        effects::tally(fe, agg);
-    }
-    let (r_eff, _order) =
-        effects::check(&graph, &rels, &file_effects, config, &allowed, &snippet);
-    out.extend(r_eff);
+    stats.dataflow = ws.dataflow_coverage();
+
+    // ---- R14–R16: queries over the per-function effect facts. ----
+    stats.effects = ws.effect_coverage();
+    out.extend(effects::check(graph, config, &allowed, &snippet).0);
 
     (out, stats)
-}
-
-/// Runs the per-file effect extraction over the effect-scope files; files
-/// outside the scope (and the blessed recovery module, whose whole point
-/// is to contain the recovery idiom) carry an empty summary.
-fn effect_summaries(sem_files: &[SemFile], config: &Config) -> Vec<FileEffects> {
-    sem_files
-        .iter()
-        .map(|f| {
-            if path_matches(&f.rel, &config.effect_paths)
-                && !path_matches(&f.rel, &config.blessed_recovery_paths)
-            {
-                effects::analyze(&f.scanned, &f.source, &f.parsed, config)
-            } else {
-                FileEffects::default()
-            }
-        })
-        .collect()
-}
-
-/// Prepares library files (scan + allows + item parse), skipping excluded
-/// paths and non-library file kinds.
-fn prepare(files: &[(String, String)], config: &Config) -> Vec<SemFile> {
-    files
-        .iter()
-        .filter(|(rel, _)| {
-            FileKind::classify(rel) == FileKind::Library
-                && !path_matches(rel, &config.semantic_exclude_paths)
-        })
-        .map(|(rel, source)| {
-            let scanned = scan(source);
-            let allows = parse_allows(&scanned);
-            let parsed = items::parse(&scanned);
-            SemFile {
-                rel: rel.clone(),
-                source: source.clone(),
-                scanned,
-                allows,
-                parsed,
-            }
-        })
-        .collect()
-}
-
-fn build_graph(sem_files: &[SemFile]) -> CallGraph {
-    let parsed: Vec<(String, ParsedFile)> = sem_files
-        .iter()
-        .map(|f| (f.rel.clone(), f.parsed.clone()))
-        .collect();
-    CallGraph::build(&parsed)
 }
 
 /// Builds the call graph for `lb-lint graph` (same scope as the semantic
 /// rules) and returns its deterministic dump.
 pub fn graph_dump(files: &[(String, String)], config: &Config) -> String {
-    build_graph(&prepare(files, config)).dump()
+    Workspace::build(files, config).graph.dump()
 }
 
-/// Deterministic dump of the per-function dataflow summaries (for
-/// `lb-lint dataflow`): one block per function in (file, line) order, then
-/// the struct/thread-local findings and a per-crate coverage footer.
+/// The `lb-lint dataflow` dump (see [`Workspace::dataflow_dump`]),
+/// independent of the order of `files`.
 pub fn dataflow_dump(files: &[(String, String)], config: &Config) -> String {
-    let mut sem_files = prepare(files, config);
-    // The dump is an artifact diffed across CI runs: key it by path so the
-    // output is independent of directory-walk order.
-    sem_files.sort_by(|a, b| a.rel.cmp(&b.rel));
-    let mut out = String::new();
-    let mut per_crate: BTreeMap<String, CrateDataflow> = BTreeMap::new();
-    for f in &sem_files {
-        let flow = dataflow::analyze(&f.scanned, &f.parsed, config);
-        let df = per_crate
-            .entry(crate_of(&f.rel).unwrap_or("workspace").to_string())
-            .or_default();
-        if path_matches(&f.rel, &config.state_struct_paths) {
-            df.state_structs += flow.structs;
-        }
-        for ff in &flow.fns {
-            let collections = ff.bindings.iter().filter(|b| b.is_collection).count();
-            df.collection_bindings += collections;
-            df.result_sites += usize::from(ff.returns_result)
-                + ff.wildcard_lets.len()
-                + ff.ok_discards.len()
-                + ff.unused_candidates.len();
-            out.push_str(&format!(
-                "fn {}:{} {} result={} charges={} bindings={}/{}\n",
-                f.rel,
-                ff.line,
-                ff.display_name(),
-                ff.returns_result,
-                ff.charge_lines.len(),
-                collections,
-                ff.bindings.len(),
-            ));
-            for g in &ff.grows {
-                out.push_str(&format!(
-                    "  grow {}.{} at {} carried={} loop={}\n",
-                    g.receiver,
-                    g.method,
-                    g.line,
-                    g.carried,
-                    g.loop_line.map_or("-".to_string(), |l| l.to_string()),
-                ));
-            }
-            for &l in &ff.wildcard_lets {
-                out.push_str(&format!("  discard wildcard-let at {l}\n"));
-            }
-            for &l in &ff.ok_discards {
-                out.push_str(&format!("  discard ok at {l}\n"));
-            }
-            for c in &ff.unused_candidates {
-                if !c.used_later {
-                    out.push_str(&format!(
-                        "  discard unused `{}` = {}(..) at {}\n",
-                        c.name, c.callee, c.line
-                    ));
-                }
-            }
-        }
-        for h in &flow.hostile_fields {
-            out.push_str(&format!(
-                "hostile {}:{} {}.{} {}\n",
-                f.rel, h.line, h.struct_name, h.field, h.marker
-            ));
-        }
-        for &l in &flow.thread_local_lines {
-            out.push_str(&format!("thread-local {}:{}\n", f.rel, l));
-        }
-    }
-    for (name, df) in &per_crate {
-        out.push_str(&format!(
-            "crate {name} collection_bindings={} result_sites={} state_structs={}\n",
-            df.collection_bindings, df.result_sites, df.state_structs
-        ));
-    }
-    out
+    Workspace::build(files, config).dataflow_dump()
 }
 
-/// Deterministic dump of the per-function effect summaries (for
-/// `lb-lint effects`): one block per effectful function in (file, line)
-/// order, the poisoned-lock recovery sites, the global lock-order edges,
-/// and a per-crate coverage footer. Diffed as a CI artifact, so the
-/// output is keyed by path — independent of directory-walk order.
+/// The `lb-lint effects` dump (see [`Workspace::effects_dump`]),
+/// independent of the order of `files`.
 pub fn effects_dump(files: &[(String, String)], config: &Config) -> String {
-    let mut sem_files = prepare(files, config);
-    sem_files.sort_by(|a, b| a.rel.cmp(&b.rel));
-    let graph = build_graph(&sem_files);
-    let file_effects = effect_summaries(&sem_files, config);
-    let rels: Vec<String> = sem_files.iter().map(|f| f.rel.clone()).collect();
-    let allowed = |_: &str, _: usize, _: Rule| false;
-    let snip = |_: &str, _: usize| String::new();
-    let (_viol, order) =
-        effects::check(&graph, &rels, &file_effects, config, &allowed, &snip);
-
-    let mut out = String::new();
-    let mut per_crate: BTreeMap<String, CrateEffects> = BTreeMap::new();
-    for (fi, f) in sem_files.iter().enumerate() {
-        let fe = &file_effects[fi];
-        effects::tally(
-            fe,
-            per_crate
-                .entry(crate_of(&f.rel).unwrap_or("workspace").to_string())
-                .or_default(),
-        );
-        for fx in &fe.fns {
-            if !fx.has_effects() {
-                continue;
-            }
-            out.push_str(&format!("fn {}:{} {}\n", f.rel, fx.line, fx.display_name()));
-            for l in &fx.locks {
-                out.push_str(&format!(
-                    "  lock {} at {}..{} bound={}\n",
-                    l.name, l.line, l.end_line, l.bound
-                ));
-            }
-            for s in &fx.blocking {
-                out.push_str(&format!("  blocking {} at {}\n", s.what, s.line));
-            }
-            for s in &fx.durable {
-                out.push_str(&format!("  durable {} at {}\n", s.what, s.line));
-            }
-            for s in &fx.guards {
-                out.push_str(&format!("  guard {} at {}\n", s.what, s.line));
-            }
-            for &l in &fx.acks {
-                out.push_str(&format!("  ack at {l}\n"));
-            }
-            for s in &fx.requeues {
-                out.push_str(&format!("  requeue {} at {}\n", s.what, s.line));
-            }
-        }
-        for &l in &fe.recovery_lines {
-            out.push_str(&format!("recovery {}:{}\n", f.rel, l));
-        }
-    }
-    for e in &order {
-        out.push_str(&format!("order {} -> {} at {}:{}\n", e.from, e.to, e.file, e.line));
-    }
-    for (name, ce) in &per_crate {
-        out.push_str(&format!(
-            "crate {name} lock_sites={} durability_sites={} blocking_sites={} \
-             guard_sites={} ack_sites={} requeue_sites={}\n",
-            ce.lock_sites,
-            ce.durability_sites,
-            ce.blocking_sites,
-            ce.guard_sites,
-            ce.ack_sites,
-            ce.requeue_sites
-        ));
-    }
-    out
+    Workspace::build(files, config).effects_dump()
 }
 
 /// Whether a masked code line contains a direct budget charge call. The
@@ -783,8 +762,11 @@ fn fnv1a_feed(mut h: u64, bytes: &[u8]) -> u64 {
 /// whitespace, and string-literal *contents* do not affect it). Returns the
 /// hash and the set of names actually found with a body.
 pub fn fingerprint_fns(file: &ScannedFile, names: &[String]) -> (u64, Vec<String>) {
-    let parsed = items::parse(file);
-    let toks = items::tokenize(file);
+    fingerprint(&items::parse(file), names)
+}
+
+/// [`fingerprint_fns`] over an already-parsed file's token stream.
+fn fingerprint(parsed: &ParsedFile, names: &[String]) -> (u64, Vec<String>) {
     let mut spans: Vec<Span> = Vec::new();
     let mut found: Vec<String> = Vec::new();
     for f in &parsed.fns {
@@ -799,11 +781,11 @@ pub fn fingerprint_fns(file: &ScannedFile, names: &[String]) -> (u64, Vec<String
     }
     spans.sort_by_key(|s| (s.start, s.end));
     let mut h = FNV_OFFSET;
-    for t in &toks {
+    for t in &parsed.toks {
         if spans.iter().any(|s| s.contains(t.line)) {
             match &t.kind {
-                items::TokKind::Word(w) => h = fnv1a_feed(h, w.as_bytes()),
-                items::TokKind::Punct(c) => {
+                TokKind::Word(w) => h = fnv1a_feed(h, w.as_bytes()),
+                TokKind::Punct(c) => {
                     let mut buf = [0u8; 4];
                     h = fnv1a_feed(h, c.encode_utf8(&mut buf).as_bytes());
                 }
@@ -864,17 +846,15 @@ fn parse_baseline(text: &str) -> Baseline {
 type SchemaState = Result<(u64, u64, usize), String>;
 
 /// Computes the current per-family schema table.
-fn current_schema(
-    sem_files: &[SemFile],
-    specs: &[CheckpointSpec],
-) -> Vec<(CheckpointSpec, SchemaState)> {
+fn current_schema(ws: &Workspace, specs: &[CheckpointSpec]) -> Vec<(CheckpointSpec, SchemaState)> {
     specs
         .iter()
         .map(|spec| {
-            let entry = match sem_files.iter().find(|f| f.rel == spec.file) {
+            let entry = match ws.graph.files.iter().position(|(rel, _)| *rel == spec.file) {
                 None => Err(format!("file `{}` not found in the workspace", spec.file)),
-                Some(f) => {
-                    let (fp, found) = fingerprint_fns(&f.scanned, &spec.fns);
+                Some(fi) => {
+                    let f = &ws.files[fi];
+                    let (fp, found) = fingerprint(&ws.graph.files[fi].1, &spec.fns);
                     let missing: Vec<&String> =
                         spec.fns.iter().filter(|n| !found.contains(n)).collect();
                     if !missing.is_empty() {
@@ -904,17 +884,17 @@ fn current_schema(
 }
 
 fn check_schema_drift(
+    ws: &Workspace,
     root: &Path,
-    sem_files: &[SemFile],
-    config: &Config,
     allowed: &dyn Fn(&str, usize, Rule) -> bool,
     snippet: &dyn Fn(&str, usize) -> String,
 ) -> (Vec<Violation>, usize) {
+    let config = ws.config;
     let mut out = Vec::new();
     if config.checkpoint_specs.is_empty() {
         return (out, 0);
     }
-    let current = current_schema(sem_files, &config.checkpoint_specs);
+    let current = current_schema(ws, &config.checkpoint_specs);
     let baseline_path = root.join(&config.baseline_file);
     let baseline = match std::fs::read_to_string(&baseline_path) {
         Ok(text) => parse_baseline(&text),
@@ -1002,8 +982,7 @@ fn check_schema_drift(
 /// Renders the current schema table as the baseline-file content.
 /// Errors if any family cannot be fingerprinted.
 pub fn render_baseline(files: &[(String, String)], config: &Config) -> io::Result<String> {
-    let sem_files = prepare(files, config);
-    let current = current_schema(&sem_files, &config.checkpoint_specs);
+    let current = current_schema(&Workspace::build(files, config), &config.checkpoint_specs);
     let mut rows: Vec<(String, u64, u64)> = Vec::new();
     for (spec, entry) in current {
         match entry {

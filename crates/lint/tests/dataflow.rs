@@ -3,16 +3,14 @@
 //! loop-carried bindings under nested loops, method-chain receivers,
 //! closures, and nested `fn` items. The in-crate unit tests cover the happy
 //! paths; these pin the corner cases end to end through the public API
-//! (`lexer::scan` → `items::parse` → `dataflow::analyze`), plus the
-//! determinism of the `lb-lint dataflow` dump.
+//! (`lexer::scan` → `items::summarize`), plus the determinism of the
+//! `lb-lint dataflow` dump.
 
-use lb_lint::dataflow::{self, FileFlow};
-use lb_lint::{items, lexer, semantic, Config};
+use lb_lint::items::{self, ParsedFile};
+use lb_lint::{lexer, semantic, Config};
 
-fn flow_of(src: &str) -> FileFlow {
-    let scanned = lexer::scan(src);
-    let parsed = items::parse(&scanned);
-    dataflow::analyze(&scanned, &parsed, &Config::default())
+fn flow_of(src: &str) -> ParsedFile {
+    items::summarize(&lexer::scan(src), src, &Config::default())
 }
 
 /// A fresh collection declared *inside* the innermost loop is not carried,
@@ -230,4 +228,25 @@ fn dataflow_dump_is_deterministic_under_file_reordering() {
     assert_eq!(d1, d2, "dump must not depend on input order");
     assert!(d1.contains("crates/sat/src/a.rs"), "{d1}");
     assert!(d1.contains("crate sat"), "per-crate footer missing: {d1}");
+}
+
+/// Two same-named fns on one line (one-line `impl` blocks) each own their
+/// facts: `B::f`'s summary must not report `A::f`'s growth site.
+#[test]
+fn same_named_fns_on_one_line_keep_their_own_facts() {
+    let src = "impl A { fn f(&mut self) { for x in 0..3 { self.v.push(x); } } } \
+               impl B { fn f(&self) {} }\n";
+    let flow = flow_of(src);
+    let a = flow
+        .fns
+        .iter()
+        .find(|f| f.qualifier.as_deref() == Some("A"))
+        .unwrap();
+    let b = flow
+        .fns
+        .iter()
+        .find(|f| f.qualifier.as_deref() == Some("B"))
+        .unwrap();
+    assert_eq!(a.grows.len(), 1, "{a:?}");
+    assert!(b.grows.is_empty(), "A::f's growth leaked into B::f: {b:?}");
 }

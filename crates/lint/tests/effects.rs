@@ -4,17 +4,15 @@
 //! conditions, nested `fn` carve-outs, blocking I/O behind trait calls, and
 //! the raw-source ack scan. The in-crate fixtures cover the rule verdicts;
 //! these pin the per-function summaries end to end through the public API
-//! (`lexer::scan` → `items::parse` → `effects::analyze`), plus the
-//! determinism of the `lb-lint effects` dump.
+//! (`lexer::scan` → `items::summarize`), plus the determinism of the
+//! `lb-lint effects` dump.
 
-use lb_lint::effects::{self, FileEffects};
-use lb_lint::{items, lexer, semantic, Config, Rule};
+use lb_lint::items::{self, ParsedFile};
+use lb_lint::{lexer, semantic, Config, Rule};
 use std::path::Path;
 
-fn effects_of(src: &str) -> FileEffects {
-    let scanned = lexer::scan(src);
-    let parsed = items::parse(&scanned);
-    effects::analyze(&scanned, src, &parsed, &Config::default())
+fn effects_of(src: &str) -> ParsedFile {
+    items::summarize(&lexer::scan(src), src, &Config::default())
 }
 
 /// A lock acquired inside a closure belongs to the enclosing function's
@@ -52,7 +50,10 @@ fn outer(m: &std::sync::Mutex<u32>) {
     let fe = effects_of(src);
     let outer = fe.fns.iter().find(|f| f.name == "outer").unwrap();
     let inner = fe.fns.iter().find(|f| f.name == "inner").unwrap();
-    assert!(outer.locks.is_empty(), "inner's lock must not leak: {outer:?}");
+    assert!(
+        outer.locks.is_empty(),
+        "inner's lock must not leak: {outer:?}"
+    );
     assert_eq!(inner.locks.len(), 1);
 }
 
@@ -233,4 +234,25 @@ fn effects_dump_is_deterministic_under_file_reordering() {
         d1.contains("crate serve lock_sites=1 durability_sites=1"),
         "per-crate footer missing: {d1}"
     );
+}
+
+/// Two same-named fns on one line (one-line `impl` blocks) each own their
+/// facts: `B::g`'s summary must not report `A::g`'s lock.
+#[test]
+fn same_named_fns_on_one_line_keep_their_own_locks() {
+    let src = "impl A { fn g(&self) { let h = lock_recover(&self.m); drop(h); } } \
+               impl B { fn g(&self) {} }\n";
+    let fe = effects_of(src);
+    let a = fe
+        .fns
+        .iter()
+        .find(|f| f.qualifier.as_deref() == Some("A"))
+        .unwrap();
+    let b = fe
+        .fns
+        .iter()
+        .find(|f| f.qualifier.as_deref() == Some("B"))
+        .unwrap();
+    assert_eq!(a.locks.len(), 1, "{a:?}");
+    assert!(b.locks.is_empty(), "A::g's lock leaked into B::g: {b:?}");
 }

@@ -640,10 +640,7 @@ fn r14_violating_fixture_flags_held_across_cycle_and_recovery() {
         vec![15, 21, 28, 34],
         "held-across write, both cycle edges, and the recovery idiom: {v:?}"
     );
-    assert!(
-        v.iter().any(|v| v.message.contains("held across")),
-        "{v:?}"
-    );
+    assert!(v.iter().any(|v| v.message.contains("held across")), "{v:?}");
     assert!(
         v.iter().any(|v| v.message.contains("lock-order cycle")),
         "{v:?}"
